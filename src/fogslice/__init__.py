@@ -9,12 +9,10 @@ an episode engine with reports and parameter sweeps.
 """
 
 from .belief import (
-    BeliefState,
     FinitePomdp,
     ImpossibleObservation,
     TypeSpace,
     bellman_value,
-    expected_slot_reward,
     select_action,
     update_env_belief,
     update_type_belief,

@@ -4,8 +4,10 @@ An agent keeps two beliefs: a distribution over the states of an explicit
 finite model of its local environment, filtered with the standard
 predict-then-correct rule, and per-neighbor Dirichlet counts over a small
 set of capability types (how much spare capacity a neighbor tends to
-offer).  Planning expands the belief-MDP to a fixed depth with
-memoization, so repeated beliefs are evaluated once.
+offer).  Planning assumes the local model is fully observed (each
+observation reveals the next state), so the belief-MDP lookahead reduces
+to backward induction over states: one state-value vector per depth,
+from which any belief's action values follow by a weighted sum.
 """
 
 from __future__ import annotations
@@ -95,43 +97,6 @@ class FinitePomdp:
         return len(self.actions)
 
 
-@dataclass(frozen=True)
-class BeliefState:
-    """Environment belief vector plus per-neighbor type pseudo-counts."""
-
-    env: np.ndarray
-    type_counts: np.ndarray  # (n_neighbors, n_types), all >= prior > 0
-
-    def __post_init__(self):
-        env = np.asarray(self.env, dtype=float)
-        counts = np.asarray(self.type_counts, dtype=float)
-        if abs(env.sum() - 1.0) > 1e-6 or np.any(env < -ROW_TOL):
-            raise ValueError("env belief must be a probability vector")
-        if counts.ndim != 2 or np.any(counts <= 0):
-            raise ValueError("type counts must be positive (include the prior)")
-        env.setflags(write=False)
-        counts.setflags(write=False)
-        object.__setattr__(self, "env", env)
-        object.__setattr__(self, "type_counts", counts)
-
-    def type_means(self) -> np.ndarray:
-        return self.type_counts / self.type_counts.sum(axis=1, keepdims=True)
-
-
-def uniform_belief(model: FinitePomdp, n_neighbors: int, type_space: TypeSpace) -> BeliefState:
-    return BeliefState(
-        env=np.full(model.n_states, 1.0 / model.n_states),
-        type_counts=np.ones((n_neighbors, type_space.n_types)),
-    )
-
-
-def point_belief(model: FinitePomdp, state_idx: int, n_neighbors: int = 0, n_types: int = 1) -> BeliefState:
-    env = np.zeros(model.n_states)
-    env[state_idx] = 1.0
-    counts = np.ones((n_neighbors, n_types)) if n_neighbors else np.ones((0, n_types))
-    return BeliefState(env=env, type_counts=counts)
-
-
 def update_env_belief(
     model: FinitePomdp, env: np.ndarray, action_idx: int, obs_idx: int
 ) -> np.ndarray:
@@ -159,12 +124,6 @@ def update_type_belief(counts: np.ndarray, neighbor_idx: int, type_idx: int) -> 
     return counts
 
 
-def observation_probs(model: FinitePomdp, env: np.ndarray, action_idx: int) -> np.ndarray:
-    """Pr(o | belief, action) for every observation."""
-    predicted = model.transition[action_idx].T @ np.asarray(env, dtype=float)
-    return model.observation[action_idx].T @ predicted
-
-
 def type_profile_rewards(
     reward_by_profile: np.ndarray, profiles: list[tuple[int, ...]], counts: np.ndarray
 ) -> np.ndarray:
@@ -190,55 +149,53 @@ def enumerate_profiles(n_neighbors: int, n_types: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(n_types), repeat=n_neighbors))
 
 
-def expected_slot_reward(model: FinitePomdp, env: np.ndarray, action_idx: int | None = None):
-    """Immediate expected reward under the belief, per action or for one."""
+def _check_fully_observed(model: FinitePomdp) -> None:
+    s_n = model.n_states
+    identity = np.broadcast_to(np.eye(s_n), (model.n_actions, s_n, s_n))
+    if not np.array_equal(model.observation, identity):
+        raise ValueError(
+            "planning needs a fully observed model: the observation tensor "
+            "must be the identity over states for every action"
+        )
+
+
+def _state_values(model: FinitePomdp, depth: int, cache: dict) -> np.ndarray:
+    """V_depth(s) by backward induction; ``cache`` maps depth to V vectors."""
+    v = cache.setdefault(0, model.reward.max(axis=1))
+    for d in range(1, depth + 1):
+        if d not in cache:
+            cache[d] = (model.reward + model.gamma * (model.transition @ v).T).max(axis=1)
+        v = cache[d]
+    return v
+
+
+def _action_values(model: FinitePomdp, env, depth: int, cache: dict | None) -> np.ndarray:
+    """q(b, a) = b.R[:, a] + gamma * sum_s b(s) (T_a V_{depth-1})(s)."""
+    _check_fully_observed(model)
     env = np.asarray(env, dtype=float)
-    values = env @ model.reward
-    if action_idx is None:
-        return values
-    return float(values[action_idx])
-
-
-def _key(env: np.ndarray, depth: int):
-    return (depth, tuple(np.round(env, 12)))
+    q = env @ model.reward
+    if depth > 0:
+        v = _state_values(model, depth - 1, {} if cache is None else cache)
+        q = q + model.gamma * ((model.transition @ v) @ env)
+    return q
 
 
 def bellman_value(
     model: FinitePomdp, env: np.ndarray, depth: int, cache: dict | None = None
 ) -> float:
-    """Optimal finite-horizon value of a belief.
+    """Optimal finite-horizon value of a belief over a fully observed model.
 
     Depth 0 is the best immediate expected reward; each further level adds
-    one discounted lookahead over observations.  Beliefs reached more than
-    once (point-mass chains especially) are evaluated a single time via the
-    cache, which may be shared across calls on the same model.
+    one discounted step of backward induction over states.  Because the
+    next state is observed, a belief's value is its best action's
+    belief-weighted state Q value, which is exact for mixed beliefs too.
+    ``cache`` maps depth to state-value vectors and may be shared across
+    calls on the same model.
+
+    Raises:
+        ValueError: If the model's observations do not reveal the state.
     """
-    if cache is None:
-        cache = {}
-    return _bellman(model, np.asarray(env, dtype=float), depth, cache)
-
-
-def _bellman(model, env, depth, cache):
-    key = _key(env, depth)
-    if key in cache:
-        return cache[key]
-    immediate = env @ model.reward
-    if depth <= 0:
-        value = float(immediate.max())
-    else:
-        best = -np.inf
-        for a in range(model.n_actions):
-            q = immediate[a]
-            probs = observation_probs(model, env, a)
-            for o in range(len(model.observations)):
-                if probs[o] <= 1e-15:
-                    continue
-                nxt = update_env_belief(model, env, a, o)
-                q += model.gamma * probs[o] * _bellman(model, nxt, depth - 1, cache)
-            best = max(best, q)
-        value = float(best)
-    cache[key] = value
-    return value
+    return float(_action_values(model, env, depth, cache).max())
 
 
 def select_action(
@@ -253,20 +210,11 @@ def select_action(
 
     ``action_costs`` orders equally-valued actions (typically energy
     spent); remaining ties go to the lower index.
+
+    Raises:
+        ValueError: If the model's observations do not reveal the state.
     """
-    if cache is None:
-        cache = {}
-    env = np.asarray(env, dtype=float)
-    immediate = env @ model.reward
-    q = np.array(immediate, dtype=float)
-    if depth > 0:
-        for a in range(model.n_actions):
-            probs = observation_probs(model, env, a)
-            for o in range(len(model.observations)):
-                if probs[o] <= 1e-15:
-                    continue
-                nxt = update_env_belief(model, env, a, o)
-                q[a] += model.gamma * probs[o] * _bellman(model, nxt, depth - 1, cache)
+    q = _action_values(model, env, depth, cache)
     best = q.max()
     candidates = [a for a in range(model.n_actions) if q[a] >= best - tie_tol]
     if action_costs is not None:

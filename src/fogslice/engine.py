@@ -11,8 +11,10 @@ workload.
 
 The ``bpomdp`` policy gives every node a small planning model of its own
 battery, harvest and arrival chains plus a typed belief about what its
-neighbors tend to contribute; it picks how much energy to withhold from
-the current slot by bounded-depth lookahead.  All other policies offer
+neighbors tend to contribute.  The node observes its own state exactly,
+so it picks how much energy to withhold from the current slot by
+bounded-depth backward induction over that fully observed model, with
+rewards averaged over the neighbor-type belief.  All other policies offer
 the full battery and rely on the solver consuming only useful units.
 """
 
@@ -285,11 +287,8 @@ def build_config(cfg: dict) -> ExperimentConfig:
 
     sol_cfg = cfg.get("solver", {})
     solver = SolverOptions(
-        tol=_as_num(sol_cfg.get("tol", 1e-6), "solver.tol"),
-        max_rounds=_as_int(sol_cfg.get("max_rounds", 200), "solver.max_rounds"),
         exhaustive_nodes=_as_int(sol_cfg.get("exhaustive_nodes", 3), "solver.exhaustive_nodes"),
         exhaustive_vectors=_as_int(sol_cfg.get("exhaustive_vectors", 4000), "solver.exhaustive_vectors"),
-        refine_rounds=_as_int(sol_cfg.get("refine_rounds", 0), "solver.refine_rounds"),
     )
     return ExperimentConfig(
         seed=seed,
@@ -462,15 +461,12 @@ class _AgentMind:
                         if pa <= 0:
                             continue
                         t[ai, si, self.index[(b_next, h2, av2)]] += ph * pa
-        theta = np.repeat(np.eye(s_n)[None, :, :], a_n, axis=0)
         self._transition = t
-        self._observation = theta
         self.gamma = pol.gamma
         self._profiles = belief_mod.enumerate_profiles(
             len(self.helpers), self.type_space.n_types
         )
         self._reward_profiles = self._build_reward_profiles()
-        self._model_cache: dict[tuple, belief_mod.FinitePomdp] = {}
 
     def _imagined_reward(self, av, avail, profile) -> float:
         """Own slot payoff if committing ``avail`` with helpers of these types."""
@@ -509,31 +505,25 @@ class _AgentMind:
                     out[pi, si, ai] = memo[key]
         return out
 
-    def _model(self) -> belief_mod.FinitePomdp:
-        key = tuple(np.round(self.counts, 6).ravel())
-        if key not in self._model_cache:
-            reward = belief_mod.type_profile_rewards(
-                self._reward_profiles, self._profiles, self.counts
-            )
-            self._model_cache[key] = belief_mod.FinitePomdp(
-                states=tuple(self.states),
-                actions=tuple(self.actions),
-                observations=tuple(self.states),
-                transition=self._transition,
-                observation=self._observation,
-                reward=reward,
-                gamma=self.gamma,
-            )
-        return self._model_cache[key]
-
     def choose_budget(self, state: env_mod.EnvState) -> int:
         own = (
             int(state.battery[self.i]),
             int(state.harvest_idx[self.i]),
             tuple(int(x) for x in state.arrival_idx[self.i]),
         )
-        model = self._model()
-        env_belief = np.zeros(len(self.states))
+        s_n, a_n = len(self.states), len(self.actions)
+        model = belief_mod.FinitePomdp(
+            states=tuple(self.states),
+            actions=tuple(self.actions),
+            observations=tuple(self.states),
+            transition=self._transition,
+            observation=np.broadcast_to(np.eye(s_n), (a_n, s_n, s_n)),
+            reward=belief_mod.type_profile_rewards(
+                self._reward_profiles, self._profiles, self.counts
+            ),
+            gamma=self.gamma,
+        )
+        env_belief = np.zeros(s_n)
         env_belief[self.index[own]] = 1.0
         costs = [-w for w in self.actions]  # ties withhold more
         a = belief_mod.select_action(model, env_belief, self.depth, action_costs=costs)

@@ -1,11 +1,11 @@
-"""Markov environment: harvest and arrival chains, battery dynamics, observations.
+"""Markov environment: harvest and arrival chains, battery dynamics, sampling.
 
 Per-node energy harvest and per-service workload arrivals each follow a
-finite Markov chain; chains are mutually independent, so the joint
-transition probability is the product of the per-chain row entries.
-Batteries evolve deterministically given consumption: energy harvested
-during a slot becomes usable the next slot, and a slot can never consume
-more than the battery held at its start.
+finite Markov chain; chains are mutually independent, so each step draws
+every chain's next level from its own transition row.  Batteries evolve
+deterministically given consumption: energy harvested during a slot
+becomes usable the next slot, and a slot can never consume more than the
+battery held at its start.
 """
 
 from __future__ import annotations
@@ -97,34 +97,6 @@ class EnvState:
 
 
 @dataclass(frozen=True)
-class LocalObservation:
-    """What a single node sees at the start of a slot: its own battery and
-    arrival levels, plus optional correlated readings of peer harvest levels."""
-
-    node: int
-    battery: int
-    arrival_idx: tuple[int, ...]
-    peer_harvest: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
-class CorrelatedObservationModel:
-    """Noisy side channel onto peer harvest levels.
-
-    A reading equals the peer's true level with probability ``correlation``
-    and is uniform over that peer's levels otherwise, independently per peer.
-    """
-
-    observer: int
-    peers: tuple[int, ...]
-    correlation: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.correlation <= 1.0:
-            raise ValueError("correlation must be in [0, 1]")
-
-
-@dataclass(frozen=True)
 class EnvironmentSpec:
     """Chains and battery limits for every node in the network.
 
@@ -190,94 +162,6 @@ def battery_step(battery: int, harvested: int, consumed: int, cap: int) -> int:
     if consumed > battery:
         raise CausalityViolation(f"consumed {consumed} > battery {battery}")
     return min(int(cap), int(battery) + int(harvested) - int(consumed))
-
-
-def transition_prob(
-    env: EnvironmentSpec,
-    prev: EnvState,
-    consumed: np.ndarray,
-    nxt: EnvState,
-) -> float:
-    """Probability of moving from prev to nxt given per-node consumption.
-
-    Chains are independent, so the probability is the product of per-chain
-    row entries; batteries are deterministic given consumption, so any
-    mismatch there makes the transition impossible.
-    """
-    prob = 1.0
-    for i in range(env.n_nodes):
-        expected = battery_step(
-            prev.battery[i],
-            int(env.harvest[i].levels[prev.harvest_idx[i]]),
-            int(consumed[i]),
-            env.battery_cap[i],
-        )
-        if nxt.battery[i] != expected:
-            return 0.0
-        prob *= env.harvest[i].transition[prev.harvest_idx[i], nxt.harvest_idx[i]]
-        for k, chain in enumerate(env.arrivals[i]):
-            if env.backlogged:
-                if nxt.arrival_idx[i][k] != prev.arrival_idx[i][k]:
-                    return 0.0
-            else:
-                prob *= chain.transition[prev.arrival_idx[i][k], nxt.arrival_idx[i][k]]
-    return float(prob)
-
-
-def observation_prob(
-    env: EnvironmentSpec,
-    obs: LocalObservation,
-    nxt: EnvState,
-    model: CorrelatedObservationModel | None = None,
-) -> float:
-    """Probability of a node's observation given the next global state.
-
-    The local projection (own battery and arrival levels) is observed
-    exactly: probability 1 when it matches, 0 otherwise.  Under a correlated
-    model the peer-harvest readings contribute a mixture factor per peer:
-    correlation * [reading == true level] + (1 - correlation) / n_levels.
-    """
-    i = obs.node
-    if obs.battery != nxt.battery[i] or obs.arrival_idx != nxt.arrival_idx[i]:
-        return 0.0
-    if model is None or obs.peer_harvest is None:
-        return 1.0
-    if model.observer != i or len(obs.peer_harvest) != len(model.peers):
-        raise ValueError("observation does not match the correlated model")
-    prob = 1.0
-    for reading, peer in zip(obs.peer_harvest, model.peers):
-        n_levels = env.harvest[peer].n_states
-        match = 1.0 if reading == nxt.harvest_idx[peer] else 0.0
-        prob *= model.correlation * match + (1.0 - model.correlation) / n_levels
-    return float(prob)
-
-
-def observe(
-    env: EnvironmentSpec,
-    state: EnvState,
-    node: int,
-    model: CorrelatedObservationModel | None = None,
-    rng: np.random.Generator | None = None,
-) -> LocalObservation:
-    """Draw the observation a node receives in the given state."""
-    peer_harvest = None
-    if model is not None:
-        if rng is None:
-            raise ValueError("correlated observations need an rng")
-        readings = []
-        for peer in model.peers:
-            true_idx = state.harvest_idx[peer]
-            if rng.random() < model.correlation:
-                readings.append(true_idx)
-            else:
-                readings.append(int(rng.integers(env.harvest[peer].n_states)))
-        peer_harvest = tuple(readings)
-    return LocalObservation(
-        node=node,
-        battery=state.battery[node],
-        arrival_idx=state.arrival_idx[node],
-        peer_harvest=peer_harvest,
-    )
 
 
 def _draw(row: np.ndarray, rng: np.random.Generator) -> int:

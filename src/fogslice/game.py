@@ -819,11 +819,8 @@ def solve_energy_split(
 
 @dataclass(frozen=True)
 class SolverOptions:
-    tol: float = 1e-6
-    max_rounds: int = 200
     exhaustive_nodes: int = 3
     exhaustive_vectors: int = 4000
-    refine_rounds: int = 0
     offload: OffloadOptions = field(default_factory=OffloadOptions)
 
 
@@ -831,7 +828,7 @@ class SolverOptions:
 class WelfareSolution:
     agreement: SlicingAgreement
     welfare: float
-    status: str  # exhaustive | converged | max_rounds | heuristic
+    status: str  # exhaustive | heuristic
     certified: bool
     rounds: int
 
@@ -1052,9 +1049,8 @@ def solve_social_welfare(game: GameInstance, options: SolverOptions | None = Non
     Small instances are solved exactly by enumerating energy vectors per
     service (services decouple given the split).  Larger ones build two
     candidates, isolated play and demand-driven provisioning with routed
-    offload, optionally refined by single-unit energy shifts, and keep the
-    better; the isolated candidate guarantees cooperation never pays less
-    than going it alone.
+    offload, and keep the better; the isolated candidate guarantees
+    cooperation never pays less than going it alone.
     """
     opt = options or SolverOptions()
     n = game.network.n_nodes
@@ -1067,67 +1063,13 @@ def solve_social_welfare(game: GameInstance, options: SolverOptions | None = Non
         energy, alphas, welfare = coop_energy, coop_alphas, coop_welfare
     else:
         energy, alphas, welfare = iso_energy, iso_alphas, iso_welfare
-
-    status = "heuristic"
-    certified = False
-    rounds = 0
-    if opt.refine_rounds > 0:
-        energy, alphas, welfare, rounds, converged = _refine_shifts(
-            game, energy, alphas, welfare, opt
-        )
-        status = "converged" if converged else "max_rounds"
-        certified = converged
     return WelfareSolution(
         agreement=_assemble(game, energy, alphas),
         welfare=welfare,
-        status=status,
-        certified=certified,
-        rounds=rounds,
+        status="heuristic",
+        certified=False,
+        rounds=0,
     )
-
-
-def _refine_shifts(game: GameInstance, energy, alphas, welfare, opt: SolverOptions):
-    """Hill-climb on single-unit energy shifts, re-routing affected slices."""
-    net = game.network
-    n, k_n = net.n_nodes, net.n_services
-    caps = _service_caps(game)
-    rounds = min(opt.refine_rounds, opt.max_rounds)
-    converged = False
-    for rnd in range(1, rounds + 1):
-        improved = 0.0
-        for i, nd in enumerate(net.nodes):
-            step = nd.unit_energy
-            moves = []
-            for k_from in range(-1, k_n):  # -1: draw from unspent budget
-                for k_to in range(k_n):
-                    if k_from == k_to:
-                        continue
-                    moves.append((k_from, k_to))
-            for k_from, k_to in moves:
-                trial = energy.copy()
-                if k_from >= 0:
-                    if trial[i, k_from] < step:
-                        continue
-                    trial[i, k_from] -= step
-                else:
-                    if trial[i].sum() + step > game.budgets[i]:
-                        continue
-                if trial[i, k_to] + step > caps[i, k_to]:
-                    continue
-                trial[i, k_to] += step
-                trial_alphas = list(alphas)
-                for k in {k_from, k_to} - {-1}:
-                    sol = solve_offload(game.slice_for(k, trial[:, k]), opt.offload)
-                    trial_alphas[k] = sol.alpha
-                trial_welfare = _total_welfare(game, trial_alphas)
-                if trial_welfare > welfare + 1e-12:
-                    improved += trial_welfare - welfare
-                    energy, alphas, welfare = trial, trial_alphas, trial_welfare
-        if improved <= opt.tol * max(1.0, abs(welfare)):
-            converged = True
-            break
-    energy, alphas = _trim_energy(game, energy, alphas)
-    return energy, alphas, welfare, rnd, converged
 
 
 # ---------------------------------------------------------------------------

@@ -2,20 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fogslice.belief import (
-    BeliefState,
     FinitePomdp,
     ImpossibleObservation,
     TypeSpace,
     bellman_value,
     enumerate_profiles,
-    expected_slot_reward,
-    observation_probs,
-    point_belief,
     select_action,
     type_profile_rewards,
-    uniform_belief,
     update_env_belief,
     update_type_belief,
 )
@@ -24,6 +22,27 @@ from fogslice.oracles import value_iteration
 
 def identity_obs(n_actions, n_states):
     return np.broadcast_to(np.eye(n_states), (n_actions, n_states, n_states)).copy()
+
+
+def _stochastic(draw, shape):
+    """Row-stochastic array with every entry positive."""
+    weights = draw(hnp.arrays(float, shape, elements=st.floats(0.0, 1.0))) + 1e-3
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+@st.composite
+def fully_observed_models(draw):
+    s_n = draw(st.integers(1, 5))
+    a_n = draw(st.integers(1, 5))
+    return FinitePomdp(
+        states=tuple(range(s_n)),
+        actions=tuple(range(a_n)),
+        observations=tuple(range(s_n)),
+        transition=_stochastic(draw, (a_n, s_n, s_n)),
+        observation=identity_obs(a_n, s_n),
+        reward=draw(hnp.arrays(float, (s_n, a_n), elements=st.floats(-10.0, 10.0))),
+        gamma=draw(st.floats(0.0, 0.99)),
+    )
 
 
 def two_state_mdp(gamma=0.9):
@@ -188,8 +207,10 @@ class TestTypeBelief:
         assert np.allclose(mean, [[2.0 / 3.0, 1.0 / 3.0]])
 
     def test_no_observations_prior_mean(self):
-        belief = BeliefState(env=np.array([1.0]), type_counts=np.array([[2.0, 6.0]]))
-        assert np.allclose(belief.type_means(), [[0.25, 0.75]])
+        # unit reward under the second type reads back that type's mean
+        slabs = np.array([[[0.0]], [[1.0]]])
+        mean = type_profile_rewards(slabs, enumerate_profiles(1, 2), np.array([[2.0, 6.0]]))
+        assert mean[0, 0] == pytest.approx(0.75)
 
     def test_many_observations_converge(self):
         rng = np.random.default_rng(8)
@@ -216,17 +237,6 @@ class TestTypeBelief:
 
 
 class TestExpectedReward:
-    def test_point_mass_is_deterministic(self):
-        model = two_state_mdp()
-        belief = point_belief(model, 1)
-        assert expected_slot_reward(model, belief.env, 1) == pytest.approx(2.0)
-
-    def test_zero_budget_action_is_zero(self):
-        model = save_or_spend_model()
-        belief = point_belief(model, 0)
-        # "save" burns no energy and earns nothing this slot
-        assert expected_slot_reward(model, belief.env, 1) == 0.0
-
     def test_profile_mixture_is_arithmetic_mean(self):
         # two deterministic worlds produced by the game solver: a helper
         # with 2 spare units vs none at all
@@ -252,11 +262,6 @@ class TestExpectedReward:
         mixed = type_profile_rewards(slabs, profiles, np.array([[1.0, 1.0]]))
         assert mixed[0, 0] == pytest.approx(0.5 * (rewards[0] + rewards[1]))
 
-    def test_all_actions_when_unspecified(self):
-        model = two_state_mdp()
-        values = expected_slot_reward(model, np.array([0.5, 0.5]))
-        assert values == pytest.approx([0.5, 1.15])
-
 
 class TestBellman:
     def test_gamma_zero_is_myopic(self):
@@ -271,8 +276,7 @@ class TestBellman:
         vi = value_iteration(model.transition, model.reward, model.gamma, depth=50)
         cache = {}
         for s in range(2):
-            belief = point_belief(model, s)
-            ours = bellman_value(model, belief.env, 50, cache=cache)
+            ours = bellman_value(model, np.eye(2)[s], 50, cache=cache)
             assert ours == pytest.approx(vi[s], abs=1e-6)
 
     def test_nondecreasing_in_depth(self):
@@ -285,9 +289,9 @@ class TestBellman:
     def test_cache_shared_across_calls(self):
         model = two_state_mdp()
         cache = {}
-        first = bellman_value(model, point_belief(model, 0).env, 12, cache=cache)
+        first = bellman_value(model, np.eye(2)[0], 12, cache=cache)
         assert len(cache) > 0
-        again = bellman_value(model, point_belief(model, 0).env, 12, cache=cache)
+        again = bellman_value(model, np.eye(2)[0], 12, cache=cache)
         assert again == first
 
 
@@ -305,7 +309,7 @@ class TestSelectAction:
 
     def test_depth_separates_saver_from_spender(self):
         model = save_or_spend_model()
-        start = point_belief(model, 0).env
+        start = np.eye(4)[0]
         assert select_action(model, start, 0) == 0  # myopic agent spends
         assert select_action(model, start, 1) == 1  # lookahead saves
         assert select_action(model, start, 2) == 1
@@ -321,7 +325,7 @@ class TestSelectAction:
             reward=base.reward * 37.5,
             gamma=base.gamma,
         )
-        start = point_belief(base, 0).env
+        start = np.eye(4)[0]
         for depth in (0, 1, 2):
             assert select_action(base, start, depth) == select_action(scaled, start, depth)
 
@@ -339,24 +343,43 @@ class TestSelectAction:
         assert picked == 1
 
 
-class TestBeliefState:
-    def test_uniform_and_point_builders(self):
-        model = two_state_mdp()
-        u = uniform_belief(model, 3, TypeSpace.default())
-        assert u.env == pytest.approx([0.5, 0.5])
-        assert u.type_counts.shape == (3, 3)
-        p = point_belief(model, 1, n_neighbors=2, n_types=4)
-        assert p.env == pytest.approx([0.0, 1.0])
-        assert p.type_counts.shape == (2, 4)
+class TestPlannerProperties:
+    @settings(deadline=None)
+    @given(model=fully_observed_models(), depth=st.integers(0, 8))
+    def test_point_beliefs_match_value_iteration(self, model, depth):
+        vi = value_iteration(model.transition, model.reward, model.gamma, depth)
+        for s in range(model.n_states):
+            ours = bellman_value(model, np.eye(model.n_states)[s], depth)
+            assert ours == pytest.approx(vi[s], rel=0, abs=1e-9)
 
-    def test_invalid_vectors_rejected(self):
-        with pytest.raises(ValueError):
-            BeliefState(env=np.array([0.7, 0.7]), type_counts=np.ones((1, 2)))
-        with pytest.raises(ValueError):
-            BeliefState(env=np.array([1.0]), type_counts=np.zeros((1, 2)))
+    @settings(deadline=None)
+    @given(model=fully_observed_models(), depth=st.integers(0, 8), data=st.data())
+    def test_mixed_beliefs_match_value_iteration(self, model, depth, data):
+        belief = _stochastic(data.draw, (model.n_states,))
+        q = model.reward
+        if depth > 0:
+            v = value_iteration(model.transition, model.reward, model.gamma, depth - 1)
+            q = q + model.gamma * np.einsum("ast,t->sa", model.transition, v)
+        expected = float((belief @ q).max())
+        assert bellman_value(model, belief, depth) == pytest.approx(expected, rel=0, abs=1e-9)
 
-    def test_observation_probs_sum_to_one(self):
-        model = two_state_mdp()
-        for a in range(2):
-            probs = observation_probs(model, np.array([0.4, 0.6]), a)
-            assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    @settings(deadline=None)
+    @given(model=fully_observed_models(), depth=st.integers(0, 8), data=st.data())
+    def test_partial_observations_rejected(self, model, depth, data):
+        o_n = data.draw(st.integers(1, 5))
+        observation = _stochastic(data.draw, (model.n_actions, model.n_states, o_n))
+        assume(o_n > 1 or model.n_states > 1)  # a 1x1 stochastic tensor is the identity
+        noisy = FinitePomdp(
+            states=model.states,
+            actions=model.actions,
+            observations=tuple(range(o_n)),
+            transition=model.transition,
+            observation=observation,
+            reward=model.reward,
+            gamma=model.gamma,
+        )
+        belief = np.full(model.n_states, 1.0 / model.n_states)
+        with pytest.raises(ValueError):
+            bellman_value(noisy, belief, depth)
+        with pytest.raises(ValueError):
+            select_action(noisy, belief, depth)

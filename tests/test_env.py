@@ -1,23 +1,16 @@
-"""Markov environment: chains, battery recursion, transitions, sampling."""
-
-import itertools
+"""Markov environment: chains, battery recursion, sampling."""
 
 import numpy as np
 import pytest
 
 from fogslice.env import (
     CausalityViolation,
-    CorrelatedObservationModel,
     EnvironmentSpec,
     EnvState,
-    LocalObservation,
     MarkovChainSpec,
     battery_step,
     bursty_arrivals,
-    observation_prob,
-    observe,
     sample_step,
-    transition_prob,
     uniform_harvest,
 )
 
@@ -76,111 +69,6 @@ class TestBatteryStep:
 
     def test_spend_everything(self):
         assert battery_step(10, 0, 10, 100) == 0
-
-
-class TestTransitionProb:
-    def test_deterministic_chains_unique_successor(self):
-        chain = MarkovChainSpec(levels=(2.0, 3.0), transition=np.eye(2))
-        env = single_node_env(harvest=chain, arrivals=chain, cap=50)
-        prev = EnvState(harvest_idx=(1,), arrival_idx=((0,),), battery=(10,))
-        consumed = np.array([4])
-        good = EnvState(harvest_idx=(1,), arrival_idx=((0,),), battery=(9,))
-        assert transition_prob(env, prev, consumed, good) == pytest.approx(1.0)
-        for h, a in itertools.product(range(2), range(2)):
-            nxt = EnvState(harvest_idx=(h,), arrival_idx=((a,),), battery=(9,))
-            if (h, a) != (1, 0):
-                assert transition_prob(env, prev, consumed, nxt) == 0.0
-
-    def test_independent_product(self):
-        harvest = MarkovChainSpec(levels=(0.0, 2.0), transition=np.array([[0.3, 0.7], [0.7, 0.3]]))
-        arr = MarkovChainSpec(levels=(5.0, 9.0), transition=np.array([[0.6, 0.4], [0.6, 0.4]]))
-        env = single_node_env(harvest=harvest, arrivals=arr, cap=50)
-        prev = EnvState(harvest_idx=(0,), arrival_idx=((1,),), battery=(10,))
-        nxt = EnvState(harvest_idx=(1,), arrival_idx=((1,),), battery=(10,))
-        # harvest switches (0.7) while arrivals stay high (0.4), battery 10+0-0
-        assert transition_prob(env, prev, np.array([0]), nxt) == pytest.approx(0.28)
-
-    def test_wrong_battery_is_impossible(self):
-        env = single_node_env()
-        prev = EnvState(harvest_idx=(0,), arrival_idx=((0,),), battery=(10,))
-        nxt = EnvState(harvest_idx=(0,), arrival_idx=((0,),), battery=(10,))
-        # constant harvest 5, consumed 2: only battery 13 is reachable
-        assert transition_prob(env, prev, np.array([2]), nxt) == 0.0
-        good = EnvState(harvest_idx=(0,), arrival_idx=((0,),), battery=(13,))
-        assert transition_prob(env, prev, np.array([2]), good) == pytest.approx(1.0)
-
-    def test_sums_to_one_over_next_states(self):
-        harvest = MarkovChainSpec(levels=(0.0, 3.0), transition=np.array([[0.2, 0.8], [0.5, 0.5]]))
-        arr = MarkovChainSpec(levels=(5.0, 9.0), transition=np.array([[0.9, 0.1], [0.6, 0.4]]))
-        env = single_node_env(harvest=harvest, arrivals=arr, cap=50)
-        prev = EnvState(harvest_idx=(1,), arrival_idx=((0,),), battery=(8,))
-        consumed = np.array([3])
-        total = 0.0
-        for h, a, b in itertools.product(range(2), range(2), range(51)):
-            nxt = EnvState(harvest_idx=(h,), arrival_idx=((a,),), battery=(b,))
-            total += transition_prob(env, prev, consumed, nxt)
-        assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_backlogged_pins_arrivals(self):
-        arr = MarkovChainSpec(levels=(5.0, 9.0), transition=np.array([[0.5, 0.5], [0.5, 0.5]]))
-        env = single_node_env(arrivals=arr, backlogged=True)
-        prev = EnvState(harvest_idx=(0,), arrival_idx=((1,),), battery=(0,))
-        moved = EnvState(harvest_idx=(0,), arrival_idx=((0,),), battery=(5,))
-        stayed = EnvState(harvest_idx=(0,), arrival_idx=((1,),), battery=(5,))
-        assert transition_prob(env, prev, np.array([0]), moved) == 0.0
-        assert transition_prob(env, prev, np.array([0]), stayed) == pytest.approx(1.0)
-
-
-class TestObservation:
-    def test_exact_projection(self):
-        env = single_node_env()
-        state = EnvState(harvest_idx=(0,), arrival_idx=((0,),), battery=(42,))
-        obs = LocalObservation(node=0, battery=42, arrival_idx=(0,))
-        assert observation_prob(env, obs, state) == 1.0
-        wrong = LocalObservation(node=0, battery=41, arrival_idx=(0,))
-        assert observation_prob(env, wrong, state) == 0.0
-
-    def test_correlated_peer_harvest(self):
-        harvest = MarkovChainSpec(levels=(0.0, 4.0), transition=np.full((2, 2), 0.5))
-        env = EnvironmentSpec(
-            harvest=(harvest, harvest),
-            arrivals=(
-                (MarkovChainSpec.constant(10.0),),
-                (MarkovChainSpec.constant(10.0),),
-            ),
-            battery_cap=(50, 50),
-        )
-        model = CorrelatedObservationModel(observer=0, peers=(1,), correlation=1.0)
-        state = EnvState(harvest_idx=(0, 1), arrival_idx=((0,), (0,)), battery=(5, 5))
-        right = LocalObservation(node=0, battery=5, arrival_idx=(0,), peer_harvest=(1,))
-        wrong = LocalObservation(node=0, battery=5, arrival_idx=(0,), peer_harvest=(0,))
-        assert observation_prob(env, right, state, model) == pytest.approx(1.0)
-        assert observation_prob(env, wrong, state, model) == pytest.approx(0.0)
-
-    def test_partial_correlation_mixture(self):
-        harvest = MarkovChainSpec(levels=(0.0, 4.0), transition=np.full((2, 2), 0.5))
-        env = EnvironmentSpec(
-            harvest=(harvest, harvest),
-            arrivals=(
-                (MarkovChainSpec.constant(10.0),),
-                (MarkovChainSpec.constant(10.0),),
-            ),
-            battery_cap=(50, 50),
-        )
-        model = CorrelatedObservationModel(observer=0, peers=(1,), correlation=0.6)
-        state = EnvState(harvest_idx=(0, 1), arrival_idx=((0,), (0,)), battery=(5, 5))
-        right = LocalObservation(node=0, battery=5, arrival_idx=(0,), peer_harvest=(1,))
-        wrong = LocalObservation(node=0, battery=5, arrival_idx=(0,), peer_harvest=(0,))
-        assert observation_prob(env, right, state, model) == pytest.approx(0.6 + 0.4 / 2)
-        assert observation_prob(env, wrong, state, model) == pytest.approx(0.4 / 2)
-
-    def test_observe_projects_state(self, rng):
-        env = single_node_env()
-        state = EnvState(harvest_idx=(0,), arrival_idx=((0,),), battery=(7,))
-        obs = observe(env, state, 0)
-        assert obs.battery == 7
-        assert obs.arrival_idx == (0,)
-        assert obs.peer_harvest is None
 
 
 class TestSampleStep:
