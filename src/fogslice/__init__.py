@@ -45,7 +45,6 @@ from .game import (
     CoreResult,
     GameInstance,
     InfeasibleOffload,
-    OffloadOptions,
     OffloadSolution,
     SliceInstance,
     SolverOptions,

@@ -37,8 +37,7 @@ from . import topology as topo_mod
 from .game import (
     GameInstance,
     SolverOptions,
-    _waterfill,
-    RESIDUAL_FLOOR,
+    lone_sender_share,
     solve_energy_split,
     solve_social_welfare,
 )
@@ -50,6 +49,7 @@ from .model import (
     SlotState,
     validate_agreement,
 )
+from .queueing import capacity
 
 POLICY_KINDS = ("no_coop", "nearest_neighbor", "radius_coop", "myopic", "bpomdp")
 WORKERS_ENV = "FOGSLICE_WORKERS"
@@ -107,10 +107,48 @@ def _as_num(value, path: str) -> float:
     return float(value)
 
 
+# The keys each config mapping may hold; anything else is a typo or a removed
+# option and is rejected rather than silently ignored.
+ROOT_KEYS = (
+    "seed", "slots", "services", "defaults", "nodes", "topology", "policy", "solver", "backlogged"
+)
+SERVICE_KEYS = ("name", "deadline", "reward", "unit_rate")
+DEFAULTS_KEYS = ("node", "harvest", "arrivals")
+NODE_KEYS = (
+    "position", "battery_init", "harvest", "arrivals",
+    "max_units", "unit_energy", "battery_cap", "rate_factor", "name",
+)
+GENERATOR_KEYS = ("count", "seed", "profile", "radius")
+TOPOLOGY_KEYS = ("rule", "radius", "k", "rtt")
+RTT_KEYS = ("kind", "tau0", "base", "per_meter")
+POLICY_KEYS = ("kind", "radius", "depth", "gamma", "helper_cap")
+SOLVER_KEYS = ("exhaustive_nodes", "exhaustive_vectors")
+CHAIN_KEYS = {
+    "constant": ("kind", "value"),
+    "uniform": ("kind", "max", "min"),
+    "bursty": ("kind", "low", "high", "persistence"),
+    "levels": ("kind", "levels", "transition"),
+}
+
+
+def _mapping(cfg, path: str, keys) -> dict:
+    """``cfg`` itself, after checking it is a mapping holding only ``keys``."""
+    if not isinstance(cfg, dict):
+        _fail(path, "must be a mapping")
+    for key in cfg:
+        if key not in keys:
+            where = f"{path}.{key}" if path else str(key)
+            _fail(where, f"unknown key; expected one of {', '.join(keys)}")
+    return cfg
+
+
 def _chain(cfg, path: str, integer_levels: bool) -> env_mod.MarkovChainSpec:
     if not isinstance(cfg, dict) or "kind" not in cfg:
         _fail(path, "must be a mapping with a 'kind'")
     kind = cfg["kind"]
+    if not isinstance(kind, str) or kind not in CHAIN_KEYS:
+        _fail(path, f"unknown chain kind {kind!r}")
+    _mapping(cfg, path, CHAIN_KEYS[kind])
     if kind == "constant":
         value = cfg.get("value")
         if integer_levels:
@@ -138,7 +176,6 @@ def _chain(cfg, path: str, integer_levels: bool) -> env_mod.MarkovChainSpec:
         else:
             levels = [_as_num(v, f"{path}.levels[{i}]") for i, v in enumerate(levels)]
         return env_mod.MarkovChainSpec(tuple(levels), np.array(matrix, dtype=float))
-    _fail(path, f"unknown chain kind {kind!r}")
 
 
 # Image recognition and voice-to-text classes with their usual deadlines and
@@ -155,8 +192,7 @@ def _services(cfg) -> tuple[ServiceTypeSpec, ...]:
         _fail("services", "a non-empty list is required")
     out = []
     for i, svc in enumerate(raw):
-        if not isinstance(svc, dict):
-            _fail(f"services[{i}]", "must be a mapping")
+        _mapping(svc, f"services[{i}]", SERVICE_KEYS)
         try:
             out.append(
                 ServiceTypeSpec(
@@ -188,21 +224,23 @@ def build_config(cfg: dict) -> ExperimentConfig:
     """Validate a config mapping and build every runtime object it describes."""
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
+    _mapping(cfg, "", ROOT_KEYS)
     seed = _as_int(cfg.get("seed", 0), "seed")
     slots = _as_int(cfg.get("slots", 1), "slots")
     if slots <= 0:
         _fail("slots", "must be >= 1")
     services = _services(cfg)
     k_n = len(services)
-    defaults = cfg.get("defaults", {})
-    if not isinstance(defaults, dict):
-        _fail("defaults", "must be a mapping")
-    node_defaults = defaults.get("node", {})
+    defaults = _mapping(cfg.get("defaults", {}), "defaults", DEFAULTS_KEYS)
+    node_defaults = _mapping(
+        defaults.get("node", {}), "defaults.node", [k for k in NODE_KEYS if k != "position"]
+    )
     harvest_default = defaults.get("harvest", {"kind": "constant", "value": 0})
     arrivals_default = defaults.get("arrivals")
 
     nodes_cfg = cfg.get("nodes")
     if isinstance(nodes_cfg, dict):
+        _mapping(nodes_cfg, "nodes", GENERATOR_KEYS)
         count = _as_int(nodes_cfg.get("count"), "nodes.count")
         positions = topo_mod.synth_topology(
             count,
@@ -216,6 +254,7 @@ def build_config(cfg: dict) -> ExperimentConfig:
         for i, entry in enumerate(nodes_cfg):
             if not isinstance(entry, dict) or "position" not in entry:
                 _fail(f"nodes[{i}]", "must be a mapping with a 'position'")
+            _mapping(entry, f"nodes[{i}]", NODE_KEYS)
             pos = entry["position"]
             if not isinstance(pos, list) or len(pos) != 2:
                 _fail(f"nodes[{i}].position", "must be [x, y] in meters")
@@ -231,7 +270,7 @@ def build_config(cfg: dict) -> ExperimentConfig:
 
     node_specs = tuple(_node_spec(c, f"nodes[{i}]") for i, c in enumerate(node_cfgs))
 
-    topo_cfg = cfg.get("topology", {})
+    topo_cfg = _mapping(cfg.get("topology", {}), "topology", TOPOLOGY_KEYS)
     rule_name = topo_cfg.get("rule", "radius")
     if rule_name == "radius":
         rule = topo_mod.RadiusRule(_as_num(topo_cfg.get("radius", 500.0), "topology.radius"))
@@ -239,7 +278,7 @@ def build_config(cfg: dict) -> ExperimentConfig:
         rule = topo_mod.KNearestRule(_as_int(topo_cfg.get("k"), "topology.k"))
     else:
         _fail("topology.rule", f"unknown rule {rule_name!r}")
-    rtt_cfg = topo_cfg.get("rtt", {"kind": "constant"})
+    rtt_cfg = _mapping(topo_cfg.get("rtt", {"kind": "constant"}), "topology.rtt", RTT_KEYS)
     if rtt_cfg.get("kind", "constant") == "constant":
         rtt_rule = topo_mod.ConstantRtt(_as_num(rtt_cfg.get("tau0", topo_mod.DEFAULT_RTT_S), "topology.rtt.tau0"))
     elif rtt_cfg.get("kind") == "distance":
@@ -273,7 +312,7 @@ def build_config(cfg: dict) -> ExperimentConfig:
         backlogged=bool(cfg.get("backlogged", False)),
     )
 
-    pol_cfg = cfg.get("policy", {"kind": "no_coop"})
+    pol_cfg = _mapping(cfg.get("policy", {"kind": "no_coop"}), "policy", POLICY_KEYS)
     kind = pol_cfg.get("kind")
     if kind not in POLICY_KINDS:
         _fail("policy.kind", f"must be one of {POLICY_KINDS}")
@@ -285,7 +324,7 @@ def build_config(cfg: dict) -> ExperimentConfig:
         helper_cap=_as_int(pol_cfg.get("helper_cap", 2), "policy.helper_cap"),
     )
 
-    sol_cfg = cfg.get("solver", {})
+    sol_cfg = _mapping(cfg.get("solver", {}), "solver", SOLVER_KEYS)
     solver = SolverOptions(
         exhaustive_nodes=_as_int(sol_cfg.get("exhaustive_nodes", 3), "solver.exhaustive_nodes"),
         exhaustive_vectors=_as_int(sol_cfg.get("exhaustive_vectors", 4000), "solver.exhaustive_vectors"),
@@ -476,8 +515,8 @@ class _AgentMind:
             lam = float(self._achains[k].levels[av[k]])
             if lam <= 0:
                 continue
-            own_cap = svc.unit_rate * self.node.rate_factor * (int(split[k]) // self.node.unit_energy)
-            caps = [own_cap]
+            w = svc.unit_rate * self.node.rate_factor
+            caps = [capacity(w, int(split[k]), self.node.unit_energy)]
             taus = [0.0]
             for hj, tj in enumerate(profile):
                 if self.tau[hj] >= svc.deadline:
@@ -487,9 +526,7 @@ class _AgentMind:
                 taus.append(self.tau[hj])
             caps = np.array(caps, dtype=float)
             taus = np.array(taus, dtype=float)
-            box = np.minimum(np.maximum((caps - RESIDUAL_FLOOR) / lam, 0.0), 1.0)
-            row = _waterfill(taus, caps, box, lam, svc.deadline)
-            total += svc.reward * lam * float(row.sum())
+            total += svc.reward * lam * lone_sender_share(taus, caps, lam, svc.deadline)
         return total
 
     def _build_reward_profiles(self) -> np.ndarray:

@@ -22,12 +22,13 @@ import itertools
 import math
 import shlex
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .model import FogNodeSpec, NetworkSpec, ServiceTypeSpec, SlicingAgreement, Violation
+from .queueing import capacity, optimal_local_fraction, response_times
 
 # Destinations always keep this much residual capacity (requests/s); far above
 # the 1e-9 saturation tolerance, far below any economically relevant load.
@@ -77,14 +78,9 @@ class SliceInstance:
         return len(self.nodes)
 
     def capacities(self) -> np.ndarray:
-        units = np.array(
-            [int(e) // nd.unit_energy for e, nd in zip(self.energy, self.nodes)]
-        )
         w = np.array([self.service.unit_rate * nd.rate_factor for nd in self.nodes])
-        return w * units
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(np.asarray(self.energy) > 0))
+        unit_energy = np.array([nd.unit_energy for nd in self.nodes])
+        return capacity(w, self.energy.astype(int), unit_energy)
 
     def allowed(self) -> np.ndarray:
         """Boolean (n x n): sender i may place workload on destination m.
@@ -134,20 +130,6 @@ class GameInstance:
         )
 
 
-def response_times(alpha: np.ndarray, arrivals: np.ndarray, caps: np.ndarray, rtt: np.ndarray) -> np.ndarray:
-    """Per-sender weighted response time; inf where a used destination saturates."""
-    loads = alpha.T @ arrivals
-    residual = caps - loads
-    used = alpha > 0
-    delay = np.full(len(caps), np.inf)
-    ok = residual > FEAS_TOL
-    delay[ok] = 1.0 / residual[ok]
-    with np.errstate(invalid="ignore"):
-        terms = alpha * (rtt + delay[None, :])
-    terms[~used] = 0.0
-    return terms.sum(axis=1)
-
-
 def slice_worth(instance: SliceInstance, alpha: np.ndarray, tol: float = FEAS_TOL) -> float:
     """Total payoff of a slice under an offload matrix (Eq.-style sender sum).
 
@@ -190,11 +172,6 @@ def slice_worth(instance: SliceInstance, alpha: np.ndarray, tol: float = FEAS_TO
     if violations:
         raise InfeasibleOffload(violations)
     return float(instance.service.reward * np.sum(lam * rows))
-
-
-def slice_rewards(instance: SliceInstance, alpha: np.ndarray) -> np.ndarray:
-    """Per-sender payoff: reward * own arrivals * own served fraction."""
-    return instance.service.reward * instance.arrivals * np.asarray(alpha).sum(axis=1)
 
 
 INSTANCE_HEADER = "fogslice-instance 1"
@@ -315,14 +292,14 @@ def load_instance(path) -> GameInstance:
 # Offload solver: water-filling on the marginal delay price, per sender.
 
 
-@dataclass(frozen=True)
-class OffloadOptions:
-    passes: int = 60
-    tol: float = 1e-10
-    outer_rounds: int = 12
-    joint_max_senders: int = 8
-    polish: bool = True
-    polish_max_nodes: int = 8
+# Ascent passes per round and rounds of ascent plus swaps; a stage stops
+# early once welfare gains fall below ASCENT_TOL (relative).
+ASCENT_PASSES = 60
+OUTER_ROUNDS = 12
+ASCENT_TOL = 1e-10
+# SLSQP joint refinement and the priority polish run only on slices this small.
+JOINT_MAX_SENDERS = 8
+POLISH_MAX_NODES = 8
 
 
 @dataclass(frozen=True)
@@ -516,17 +493,17 @@ def _polish_priority(work: _SliceWork, alpha: np.ndarray):
                 alpha[i] = shifted(best) if best > 1e-12 else base
 
 
-def _ascent(work: _SliceWork, alpha: np.ndarray, opt: OffloadOptions) -> int:
+def _ascent(work: _SliceWork, alpha: np.ndarray) -> int:
     """Row updates until a full pass stops improving; returns passes used."""
     prev = work.welfare(alpha)
-    for passes in range(1, opt.passes + 1):
+    for passes in range(1, ASCENT_PASSES + 1):
         for i in work.senders:
             _update_row(work, alpha, i)
         current = work.welfare(alpha)
-        if current - prev <= opt.tol * max(1.0, abs(current)):
+        if current - prev <= ASCENT_TOL * max(1.0, abs(current)):
             return passes
         prev = current
-    return opt.passes
+    return ASCENT_PASSES
 
 
 def _swap_pass(work: _SliceWork, alpha: np.ndarray) -> bool:
@@ -637,11 +614,16 @@ def _joint_refine(work: _SliceWork, alpha: np.ndarray) -> np.ndarray:
 
     def local_start():
         a = np.zeros((work.n, work.n))
+        inst = work.instance
         for i in work.senders:
             cap = work.caps[i]
             if cap <= RESIDUAL_FLOOR:
                 continue
-            frac = min(1.0, max(0.0, cap / work.lam[i] - 1.0 / (work.theta * work.lam[i])))
+            nd = inst.nodes[i]
+            frac = optimal_local_fraction(
+                inst.energy[i], nd.unit_energy, inst.service.unit_rate * nd.rate_factor,
+                work.lam[i], work.theta,
+            )
             a[i, i] = min(frac, (cap - RESIDUAL_FLOOR) / work.lam[i])
         return a
 
@@ -677,7 +659,7 @@ def _joint_refine(work: _SliceWork, alpha: np.ndarray) -> np.ndarray:
     return best.copy()
 
 
-def solve_offload(instance: SliceInstance, options: OffloadOptions | None = None) -> OffloadSolution:
+def solve_offload(instance: SliceInstance) -> OffloadSolution:
     """Best offload fractions for one slice.
 
     Alternates block-coordinate ascent on sender rows with load swaps
@@ -685,16 +667,15 @@ def solve_offload(instance: SliceInstance, options: OffloadOptions | None = None
     smooth NLP on small slices.  The objective (total slice payoff) never
     decreases across stages.
     """
-    opt = options or OffloadOptions()
     work = _SliceWork(instance)
     alpha = np.zeros((work.n, work.n))
     passes = 0
     converged = False
     prev = -np.inf
-    for _ in range(opt.outer_rounds):
-        passes += _ascent(work, alpha, opt)
+    for _ in range(OUTER_ROUNDS):
+        passes += _ascent(work, alpha)
         current = work.welfare(alpha)
-        if current - prev <= opt.tol * max(1.0, abs(current)):
+        if current - prev <= ASCENT_TOL * max(1.0, abs(current)):
             converged = True
             break
         prev = current
@@ -704,9 +685,9 @@ def solve_offload(instance: SliceInstance, options: OffloadOptions | None = None
     # the NLP cannot improve a lone queue (the row update is exact there)
     # or a slice already serving every request
     full = not work.senders or work.welfare(alpha) >= work.lam[work.senders].sum() - 1e-9
-    if work.n > 1 and not full and len(work.senders) <= opt.joint_max_senders:
+    if work.n > 1 and not full and len(work.senders) <= JOINT_MAX_SENDERS:
         alpha = _joint_refine(work, alpha)
-    if opt.polish and work.n <= opt.polish_max_nodes:
+    if work.n <= POLISH_MAX_NODES:
         _polish_priority(work, alpha)
     alpha[alpha < 1e-12] = 0.0
     pis = response_times(alpha, work.lam, work.caps, work.tau)
@@ -730,8 +711,6 @@ def _split_value_table(node: FogNodeSpec, services, arrivals, budget: int, deman
     ``demands`` widens the served-workload target beyond the node's own
     arrivals (used to provision for inbound forwarding).
     """
-    from . import queueing
-
     budget = int(budget)
     tables = []
     for k, svc in enumerate(services):
@@ -739,14 +718,13 @@ def _split_value_table(node: FogNodeSpec, services, arrivals, budget: int, deman
         values = np.zeros(budget + 1)
         w = svc.unit_rate * node.rate_factor
         for e in range(budget + 1):
-            units = e // node.unit_energy
-            cap = w * units
             if demands is None:
-                if lam <= 0 or cap <= 0:
+                if lam <= 0:
                     continue
-                frac = min(1.0, max(0.0, cap / lam - 1.0 / (svc.deadline * lam)))
+                frac = optimal_local_fraction(e, node.unit_energy, w, lam, svc.deadline)
                 values[e] = svc.reward * lam * frac
             else:
+                cap = capacity(w, e, node.unit_energy)
                 served = min(max(0.0, cap - 1.0 / svc.deadline), float(demands[k]))
                 values[e] = svc.reward * served
         tables.append(values)
@@ -821,7 +799,6 @@ def solve_energy_split(
 class SolverOptions:
     exhaustive_nodes: int = 3
     exhaustive_vectors: int = 4000
-    offload: OffloadOptions = field(default_factory=OffloadOptions)
 
 
 @dataclass(frozen=True)
@@ -862,7 +839,7 @@ def _exhaustive_vector_count(game: GameInstance) -> int:
     return count
 
 
-def _solve_exhaustive(game: GameInstance, opt: SolverOptions) -> WelfareSolution:
+def _solve_exhaustive(game: GameInstance) -> WelfareSolution:
     """Exact welfare by enumerating every per-service energy vector.
 
     Services decouple once the split is fixed, so each service's best
@@ -877,7 +854,7 @@ def _solve_exhaustive(game: GameInstance, opt: SolverOptions) -> WelfareSolution
         ranges = [range(int(min(game.budgets[i], caps[i, k])) + 1) for i in range(n)]
         table: dict[tuple[int, ...], tuple[float, np.ndarray]] = {}
         for vec in itertools.product(*ranges):
-            sol = solve_offload(game.slice_for(k, np.array(vec)), opt.offload)
+            sol = solve_offload(game.slice_for(k, np.array(vec)))
             table[vec] = (sol.welfare, sol.alpha)
         per_service.append(table)
 
@@ -930,8 +907,7 @@ def _isolated_candidate(game: GameInstance):
             lam = game.arrivals[i, k]
             if lam <= 0 or split[k] <= 0:
                 continue
-            units = split[k] // nd.unit_energy
-            cap = svc.unit_rate * nd.rate_factor * units
+            cap = capacity(svc.unit_rate * nd.rate_factor, split[k], nd.unit_energy)
             # largest admissible share under the per-request deadline mix
             frac = min(1.0, svc.deadline * cap / (1.0 + svc.deadline * lam))
             alphas[k][i, i] = frac
@@ -981,7 +957,7 @@ def _slack_split(tables, budget: int, caps, step: int) -> np.ndarray:
     return split
 
 
-def _demand_candidate(game: GameInstance, opt: SolverOptions):
+def _demand_candidate(game: GameInstance):
     """Provision capacity for own plus potential inbound workload, then route."""
     net = game.network
     n, k_n = net.n_nodes, net.n_services
@@ -1001,7 +977,7 @@ def _demand_candidate(game: GameInstance, opt: SolverOptions):
         energy[i] = _slack_split(tables, budget, caps, nd.unit_energy)
     alphas = []
     for k in range(k_n):
-        sol = solve_offload(game.slice_for(k, energy[:, k]), opt.offload)
+        sol = solve_offload(game.slice_for(k, energy[:, k]))
         alphas.append(sol.alpha)
     energy, alphas = _trim_energy(game, energy, alphas)
     return energy, alphas, _total_welfare(game, alphas)
@@ -1029,7 +1005,7 @@ def _trim_energy(game: GameInstance, energy: np.ndarray, alphas):
                 trial[i] -= nd.unit_energy
                 caps = np.array(
                     [
-                        svc.unit_rate * node.rate_factor * (int(e) // node.unit_energy)
+                        capacity(svc.unit_rate * node.rate_factor, int(e), node.unit_energy)
                         for e, node in zip(trial, net.nodes)
                     ]
                 )
@@ -1055,10 +1031,10 @@ def solve_social_welfare(game: GameInstance, options: SolverOptions | None = Non
     opt = options or SolverOptions()
     n = game.network.n_nodes
     if n <= opt.exhaustive_nodes and _exhaustive_vector_count(game) <= opt.exhaustive_vectors:
-        return _solve_exhaustive(game, opt)
+        return _solve_exhaustive(game)
 
     iso_energy, iso_alphas, iso_welfare = _isolated_candidate(game)
-    coop_energy, coop_alphas, coop_welfare = _demand_candidate(game, opt)
+    coop_energy, coop_alphas, coop_welfare = _demand_candidate(game)
     if coop_welfare >= iso_welfare - 1e-12:
         energy, alphas, welfare = coop_energy, coop_alphas, coop_welfare
     else:
@@ -1076,14 +1052,18 @@ def solve_social_welfare(game: GameInstance, options: SolverOptions | None = Non
 # Conservative core check by bounded enumeration.
 
 
+# Coalitions of up to CORE_MAX_SIZE nodes are searched, within CORE_MAX_CHECKS
+# grid leaves in all.  A deviation must beat the standing reward by more than
+# STRICT_EPS, the offload solver's own convergence tolerance, or it is
+# numerical noise.
+CORE_MAX_SIZE = 4
+CORE_MAX_CHECKS = 2_000_000
+STRICT_EPS = 1e-6
+
+
 @dataclass(frozen=True)
 class CoreOptions:
-    n_max: int = 4
     grid: float = 0.05
-    max_checks: int = 2_000_000
-    # a deviation must beat the standing reward by more than the offload
-    # solver's own convergence tolerance, or it is numerical noise
-    strict_eps: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -1101,6 +1081,16 @@ class CoreResult:
     checked_subsets: int
     truncated_sizes: tuple[int, ...]
     grid: float
+
+
+def lone_sender_share(tau: np.ndarray, cap: np.ndarray, lam: float, theta: float) -> float:
+    """Largest share of one sender's workload its destinations can serve in time.
+
+    The sender is alone: destination m offers capacity cap[m] at round trip
+    tau[m] and carries no other load.
+    """
+    box = np.minimum(np.maximum((cap - RESIDUAL_FLOOR) / lam, 0.0), 1.0)
+    return float(_waterfill(tau, cap, box, lam, theta).sum())
 
 
 def _member_upper_bound(game: GameInstance, members: tuple[int, ...], i_local: int) -> float:
@@ -1124,15 +1114,17 @@ def _member_upper_bound(game: GameInstance, members: tuple[int, ...], i_local: i
         ]
         cap = np.array(
             [
-                svc.unit_rate * net.nodes[m].rate_factor * (int(game.budgets[m]) // net.nodes[m].unit_energy)
+                capacity(
+                    svc.unit_rate * net.nodes[m].rate_factor,
+                    int(game.budgets[m]),
+                    net.nodes[m].unit_energy,
+                )
                 for m in dests
             ],
             dtype=float,
         )
         tau = np.array([net.rtt[i, m] for m in dests])
-        box = np.maximum((cap - RESIDUAL_FLOOR) / lam, 0.0)
-        row = _waterfill(tau, cap, np.minimum(box, 1.0), lam, svc.deadline)
-        total += svc.reward * lam * float(row.sum())
+        total += svc.reward * lam * lone_sender_share(tau, cap, lam, svc.deadline)
     return total
 
 
@@ -1171,8 +1163,8 @@ def check_core(
 
     Deviating coalitions are conservative: they keep only their own members'
     energy and workload and re-split on integer units, with offload
-    fractions restricted to the grid.  Subsets up to ``n_max`` nodes are
-    enumerated; exceeding the check budget truncates the search for that
+    fractions restricted to the grid.  Subsets up to ``CORE_MAX_SIZE`` nodes
+    are enumerated; exceeding the check budget truncates the search for that
     subset size and is reported rather than certified.
     """
     opt = options or CoreOptions()
@@ -1187,19 +1179,19 @@ def check_core(
     )
     checked = 0
     truncated: list[int] = []
-    budget_left = opt.max_checks
-    for size in range(1, min(opt.n_max, n) + 1):
+    budget_left = CORE_MAX_CHECKS
+    for size in range(1, min(CORE_MAX_SIZE, n) + 1):
         for members in itertools.combinations(range(n), size):
             checked += 1
-            if any(current[i] >= full_service[i] - opt.strict_eps for i in members):
+            if any(current[i] >= full_service[i] - STRICT_EPS for i in members):
                 continue
             bounds_ok = all(
-                _member_upper_bound(game, members, li) > current[m] + opt.strict_eps
+                _member_upper_bound(game, members, li) > current[m] + STRICT_EPS
                 for li, m in enumerate(members)
             )
             if not bounds_ok:
                 continue
-            found, spent = _search_subset(game, members, current, opt, budget_left)
+            found, spent = _search_subset(game, members, current, opt.grid, budget_left)
             budget_left -= spent
             if found is not None:
                 return CoreResult(found, False, checked, tuple(truncated), opt.grid)
@@ -1209,7 +1201,7 @@ def check_core(
     return CoreResult(None, True, checked, tuple(truncated), opt.grid)
 
 
-def _search_subset(game, members, current, opt: CoreOptions, budget: int):
+def _search_subset(game, members, current, grid: float, budget: int):
     """Grid search one subset for an all-strict-gain agreement."""
     net = game.network
     k_n = net.n_services
@@ -1237,16 +1229,13 @@ def _search_subset(game, members, current, opt: CoreOptions, budget: int):
         split_sets.append(splits)
 
     spent = 0
-    grid = opt.grid
     for split_combo in itertools.product(*split_sets):
         caps = np.zeros((size, k_n))
         for li, m in enumerate(members):
             nd = net.nodes[m]
             for k in range(k_n):
-                caps[li, k] = (
-                    net.services[k].unit_rate
-                    * nd.rate_factor
-                    * (split_combo[li][k] // nd.unit_energy)
+                caps[li, k] = capacity(
+                    net.services[k].unit_rate * nd.rate_factor, split_combo[li][k], nd.unit_energy
                 )
         # candidate row bundles per member: joint rows over services, with
         # the member's total payoff, kept only if strictly above current
@@ -1270,7 +1259,7 @@ def _search_subset(game, members, current, opt: CoreOptions, budget: int):
                     * (sum(combo[k]) * grid)
                     for k in range(k_n)
                 )
-                if reward > current[m] + opt.strict_eps:
+                if reward > current[m] + STRICT_EPS:
                     combos.append((reward, combo))
             if not combos:
                 feasible_subset = False
@@ -1280,7 +1269,7 @@ def _search_subset(game, members, current, opt: CoreOptions, budget: int):
         if not feasible_subset:
             continue
 
-        found = _dfs_rows(game, members, dest_sets, caps, bundles, grid, opt, spent, budget)
+        found = _dfs_rows(game, members, dest_sets, caps, bundles, grid, spent, budget)
         spent = found[1]
         if found[0] is not None:
             split_energy = np.array(split_combo, dtype=int)
@@ -1298,40 +1287,26 @@ def _search_subset(game, members, current, opt: CoreOptions, budget: int):
     return None, spent
 
 
-def _dfs_rows(game, members, dest_sets, caps, bundles, grid, opt, spent, budget):
+def _dfs_rows(game, members, dest_sets, caps, bundles, grid, spent, budget):
     net = game.network
     k_n = net.n_services
     size = len(members)
     lam = np.array([[game.arrivals[m, k] for k in range(k_n)] for m in members])
+    rtt = net.rtt[np.ix_(members, members)]
     chosen: list = [None] * size
 
     def feasible_leaf():
+        alphas = []
         for k in range(k_n):
             alpha = np.zeros((size, size))
             for li in range(size):
                 for d, dest in enumerate(dest_sets[li]):
                     alpha[li, dest] = chosen[li][k][d] * grid
-            loads = alpha.T @ lam[:, k]
-            resid = caps[:, k] - loads
-            used = alpha > 0
-            if np.any(used.any(axis=0) & (resid <= FEAS_TOL)):
+            pis = response_times(alpha, lam[:, k], caps[:, k], rtt)
+            senders = alpha.sum(axis=1) > 0
+            if np.any(pis[senders] > net.services[k].deadline + FEAS_TOL):
                 return None
-            delay = np.where(resid > FEAS_TOL, 1.0 / np.maximum(resid, 1e-300), np.inf)
-            for li in range(size):
-                row = alpha[li]
-                if row.sum() <= 0:
-                    continue
-                tau = np.array([net.rtt[members[li], members[m]] for m in range(size)])
-                pi = float(np.sum(row * (tau + delay), where=row > 0))
-                if pi > net.services[k].deadline + FEAS_TOL:
-                    return None
-        alphas = []
-        for k in range(k_n):
-            a = np.zeros((size, size))
-            for li in range(size):
-                for d, dest in enumerate(dest_sets[li]):
-                    a[li, dest] = chosen[li][k][d] * grid
-            alphas.append(a)
+            alphas.append(alpha)
         rewards = np.array(
             [
                 sum(

@@ -222,7 +222,8 @@ def activated_units(network: NetworkSpec, energy: np.ndarray) -> np.ndarray:
 
 def capacities(network: NetworkSpec, energy: np.ndarray) -> np.ndarray:
     """Service capacity w * p per node per service (n x K), requests/s."""
-    return network.unit_rates() * activated_units(network, energy)
+    unit_energy = np.array([nd.unit_energy for nd in network.nodes])
+    return queueing.capacity(network.unit_rates(), np.asarray(energy), unit_energy[:, None])
 
 
 def validate_agreement(
@@ -300,24 +301,18 @@ def validate_agreement(
                     Violation("capacity", m, s, f"load {load[m]:.6f} > capacity {caps[m, s]:.6f}")
                 )
 
-    service_order = range(k)
-    for s in service_order:
+    for s in range(k):
         alpha = agreement.offload[s]
-        lam = state.arrivals[:, s]
         theta = network.services[s].deadline
+        pis = queueing.response_times(alpha, state.arrivals[:, s], caps[:, s], network.rtt)
         for i in range(n):
             if alpha[i].sum() <= tol:
                 continue
-            try:
-                pi = queueing.response_time_forwarding(
-                    alpha, lam, caps[:, s], network.rtt, sender=i
-                )
-            except queueing.UnstableError as exc:
-                violations.append(Violation("deadline", i, s, f"unstable destination: {exc}"))
-                continue
-            if pi > theta + tol:
+            if not np.isfinite(pis[i]):
+                violations.append(Violation("deadline", i, s, "unstable destination"))
+            elif pis[i] > theta + tol:
                 violations.append(
-                    Violation("deadline", i, s, f"response {pi:.6f} s > deadline {theta:.6f} s")
+                    Violation("deadline", i, s, f"response {pis[i]:.6f} s > deadline {theta:.6f} s")
                 )
 
     expected = np.zeros((n, k))

@@ -183,35 +183,3 @@ def value_iteration(
         v = q.max(axis=1)
     return v
 
-
-def deadline_local_fraction(
-    arrival_rate: float, service_rate: float, deadline: float, iters: int = 200
-) -> float:
-    """Largest local fraction meeting the deadline, by bisection on the response time.
-
-    Independent check of the closed-form clamp rule: response time
-    1/(capacity - a*lam) is increasing in a, so the boundary is found by
-    plain interval halving.
-    """
-    if arrival_rate <= 0:
-        raise ValueError("arrival_rate must be positive")
-    if service_rate <= 0:
-        return 0.0
-    if 1.0 / service_rate > deadline:
-        return 0.0
-
-    def response(a):
-        resid = service_rate - a * arrival_rate
-        return np.inf if resid <= 0 else 1.0 / resid
-
-    hi_cap = min(1.0, (service_rate - 1e-15) / arrival_rate)
-    if response(hi_cap) <= deadline:
-        return hi_cap if hi_cap < 1.0 else 1.0
-    lo, hi = 0.0, hi_cap
-    for _ in range(iters):
-        mid = (lo + hi) / 2
-        if response(mid) <= deadline:
-            lo = mid
-        else:
-            hi = mid
-    return lo

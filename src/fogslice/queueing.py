@@ -1,10 +1,11 @@
-"""M/M/1 response times for sliced fog nodes and the closed-form offload optimum.
+"""The M/M/1 slice arithmetic: capacity, response times, the closed-form optimum.
 
 A node that activates p processing units for a service behaves as an M/M/1
 server with service rate w*p for that service; response time of admitted
 workload alpha*lam is 1/(w*p - alpha*lam).  Forwarded workload additionally
 pays the round-trip time to its destination, weighted by the forwarded
-fraction.
+fraction.  Every layer (solver, core check, validator) computes capacities
+and response times here; only the oracles re-derive them independently.
 """
 
 from __future__ import annotations
@@ -46,6 +47,46 @@ def response_time_local(alpha: float, arrival_rate: float, service_rate: float) 
     return 1.0 / residual
 
 
+def capacity(unit_rate, energy, unit_energy):
+    """Service rate of the whole processing units an energy commitment activates.
+
+    w * floor(e / e_unit), requests/s; sub-unit remainders activate
+    nothing.  Works elementwise on numpy arrays.
+    """
+    return unit_rate * (energy // unit_energy)
+
+
+def response_times(
+    alpha: np.ndarray, arrivals: np.ndarray, capacities: np.ndarray, rtt: np.ndarray
+) -> np.ndarray:
+    """Response time of every sender of one slice under forwarding.
+
+    Each destination m serves the aggregate load sum_j alpha[j, m] * arrivals[j]
+    from one queue; a sender's workload forwarded to m pays rtt[i, m] on top
+    of the queueing delay, weighted by the forwarded fraction:
+
+        pi_i = sum_m alpha[i, m] * (rtt[i, m] + 1 / (capacities[m] - load_m))
+
+    Only entries with alpha[i, m] > 0 count.  A sender placing workload on a
+    destination without residual capacity (within 1e-9) gets inf.
+
+    Args:
+        alpha: Offload fraction matrix (n x n), row per sender.
+        arrivals: Arrival rate per node (n,), requests/s.
+        capacities: Activated capacity per node (n,), requests/s.
+        rtt: Round-trip times (n x n), zero diagonal.
+    """
+    loads = alpha.T @ arrivals
+    residual = capacities - loads
+    delay = np.full(len(capacities), np.inf)
+    ok = residual > SATURATION_TOL
+    delay[ok] = 1.0 / residual[ok]
+    with np.errstate(invalid="ignore"):
+        terms = alpha * (rtt + delay[None, :])
+    terms[~(alpha > 0)] = 0.0
+    return terms.sum(axis=1)
+
+
 def response_time_forwarding(
     alpha: np.ndarray,
     arrivals: np.ndarray,
@@ -53,13 +94,7 @@ def response_time_forwarding(
     rtt: np.ndarray,
     sender: int | None = None,
 ):
-    """Response time of offloaded workload under forwarding, per sender.
-
-    Each destination m serves the aggregate load sum_j alpha[j, m] * arrivals[j]
-    from one queue; a sender's workload forwarded to m pays rtt[sender, m] on
-    top of the queueing delay, weighted by the forwarded fraction:
-
-        pi_i = sum_m alpha[i, m] * (rtt[i, m] + 1 / (capacities[m] - load_m))
+    """Checked response time of offloaded workload, per sender (see response_times).
 
     Args:
         alpha: Offload fraction matrix (n x n), row per sender.
@@ -75,24 +110,17 @@ def response_time_forwarding(
     alpha = np.asarray(alpha, dtype=float)
     arrivals = np.asarray(arrivals, dtype=float)
     capacities = np.asarray(capacities, dtype=float)
-    rtt = np.asarray(rtt, dtype=float)
-    loads = alpha.T @ arrivals
-    residual = capacities - loads
-    used = alpha > 0
-    relevant = used[sender] if sender is not None else used.any(axis=0)
-    bad = relevant & (residual <= SATURATION_TOL)
-    if np.any(bad):
-        m = int(np.argmax(bad))
+    pis = response_times(alpha, arrivals, capacities, np.asarray(rtt, dtype=float))
+    wanted = pis if sender is None else pis[sender]
+    if not np.all(np.isfinite(wanted)):
+        loads = alpha.T @ arrivals
+        used = alpha > 0
+        relevant = used[sender] if sender is not None else used.any(axis=0)
+        m = int(np.argmax(relevant & (capacities - loads <= SATURATION_TOL)))
         raise UnstableError(
             f"destination {m}: load {loads[m]:.6f} saturates capacity {capacities[m]:.6f}"
         )
-    delay = np.zeros_like(residual)
-    ok = residual > SATURATION_TOL
-    delay[ok] = 1.0 / residual[ok]
-    per_path = rtt + delay[None, :]
-    if sender is not None:
-        return float(np.sum(alpha[sender] * per_path[sender], where=used[sender]))
-    return np.sum(alpha * per_path, axis=1, where=used)
+    return float(wanted) if sender is not None else pis
 
 
 def optimal_local_fraction(
@@ -101,7 +129,6 @@ def optimal_local_fraction(
     unit_rate: float,
     arrival_rate: float,
     deadline: float,
-    whole_units: bool = True,
 ) -> float:
     """Largest admissible local offload fraction for one node and service.
 
@@ -110,9 +137,7 @@ def optimal_local_fraction(
 
         alpha* = clamp(w * e / (lam * e_unit) - 1 / (deadline * lam), 0, 1)
 
-    With whole_units (the default) capacity counts only fully activated
-    processing units, w * floor(e / e_unit); the continuous relaxation
-    (whole_units=False) uses w * e / e_unit directly.
+    Capacity counts only fully activated processing units, w * floor(e / e_unit).
 
     Raises:
         DegenerateArrival: If arrival_rate is zero.
@@ -123,9 +148,6 @@ def optimal_local_fraction(
         raise ValueError("arrival_rate and energy must be >= 0")
     if deadline <= 0:
         raise ValueError("deadline must be > 0")
-    if whole_units:
-        capacity = unit_rate * (int(energy) // int(unit_energy))
-    else:
-        capacity = unit_rate * energy / unit_energy
-    alpha = capacity / arrival_rate - 1.0 / (deadline * arrival_rate)
+    cap = capacity(unit_rate, int(energy), int(unit_energy))
+    alpha = cap / arrival_rate - 1.0 / (deadline * arrival_rate)
     return float(min(1.0, max(0.0, alpha)))

@@ -120,6 +120,26 @@ class TestBuildConfig:
             build_config(raw)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize(
+        "mutate, path",
+        [
+            (lambda c: c["topology"]["rtt"].update(tau_0=0.5), "topology.rtt.tau_0"),
+            (lambda c: c.update(polcy={"kind": "myopic"}), "polcy"),
+            (lambda c: c["solver"].update(exhaustive_vectorz=1), "solver.exhaustive_vectorz"),
+            (lambda c: c["services"][0].update(dealine=0.1), "services[0].dealine"),
+            (lambda c: c["defaults"]["node"].update(max_unit=4), "defaults.node.max_unit"),
+            (lambda c: c["nodes"][1].update(batery_init=3), "nodes[1].batery_init"),
+            (lambda c: c["defaults"]["harvest"].update(vlaue=3), "harvest.vlaue"),
+            (lambda c: c["policy"].update(dept=3), "policy.dept"),
+        ],
+    )
+    def test_unknown_keys_are_rejected(self, mutate, path):
+        raw = base_engine_config()
+        mutate(raw)
+        with pytest.raises(ConfigError) as err:
+            build_config(raw)
+        assert f"{path}: unknown key" in str(err.value)
+
     def test_arrival_chain_count_must_match_services(self):
         raw = base_engine_config()
         raw["services"].append(
@@ -361,6 +381,11 @@ class TestSweep:
     def test_bad_axis_value_propagates_config_error(self):
         with pytest.raises(ConfigError):
             run_sweep(self.scarce_solo(), "policy.kind", ["optimal"], reps=1)
+
+    def test_misspelled_axis_is_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            run_sweep(self.scarce_solo(), "topology.rtt.tau_0", [0.5], reps=1)
+        assert "topology.rtt.tau_0" in str(err.value)
 
     def test_reps_must_be_positive(self):
         with pytest.raises(ConfigError):

@@ -9,13 +9,10 @@ from fogslice.game import (
     CoreOptions,
     GameInstance,
     InfeasibleOffload,
-    OffloadOptions,
     SliceInstance,
     check_core,
     dump_instance,
     load_instance,
-    response_times,
-    slice_rewards,
     slice_worth,
     solve_energy_split,
     solve_offload,
@@ -23,7 +20,7 @@ from fogslice.game import (
 )
 from fogslice.model import ServiceTypeSpec, SlicingAgreement
 from fogslice.oracles import grid_slice_welfare
-from fogslice.queueing import optimal_local_fraction
+from fogslice.queueing import optimal_local_fraction, response_times
 
 from conftest import make_network, make_node, make_service
 
@@ -77,7 +74,6 @@ class TestSliceWorth:
         inst = pair_slice([5, 5], [30.0, 20.0])
         alpha = np.eye(2)
         assert slice_worth(inst, alpha) == pytest.approx(50.0)
-        assert np.allclose(slice_rewards(inst, alpha), [30.0, 20.0])
 
     def test_zero_offload(self):
         inst = pair_slice([5, 5], [30.0, 20.0])

@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from fogslice.game import GameInstance, InfeasibleOffload, slice_worth
 from fogslice.model import (
     DimensionMismatch,
     FogNodeSpec,
@@ -41,6 +45,64 @@ def consistent_rewards(network, state, offload):
         served = offload[s].sum(axis=1) * state.arrivals[:, s]
         rewards[:, s] = network.services[s].reward * served
     return rewards
+
+
+@st.composite
+def capacity_feasible_slices(draw):
+    """A one-service network of at most 4 nodes and an offload matrix within capacity.
+
+    Rows stay inside the forwarding graph and sum to at most one; columns
+    whose load exceeds the destination's capacity are scaled back under it.
+    """
+    n = draw(st.integers(1, 4))
+    svc = make_service(
+        deadline=draw(st.sampled_from([0.05, 0.1, 0.2])),
+        unit_rate=draw(st.floats(5.0, 40.0)),
+    )
+    net = make_network(n_nodes=n, services=(svc,), tau=draw(st.sampled_from([0.01, 0.03, 0.06])))
+    energy = draw(hnp.arrays(int, n, elements=st.integers(0, 5)))
+    lam = draw(hnp.arrays(float, n, elements=st.floats(0.0, 60.0)))
+    game = GameInstance(network=net, arrivals=lam[:, None], budgets=energy)
+    inst = game.slice_for(0, energy)
+    alpha = draw(hnp.arrays(float, (n, n), elements=st.floats(0.0, 1.0))) * inst.allowed()
+    alpha /= np.maximum(alpha.sum(axis=1, keepdims=True), 1.0)
+    loads = alpha.T @ lam
+    caps = inst.capacities()
+    over = loads > caps
+    alpha[:, over] *= caps[over] / loads[over] * (1.0 - 1e-9)
+    return net, inst, alpha
+
+
+class TestSharedAdmissionRule:
+    @settings(max_examples=300, deadline=None)
+    @given(capacity_feasible_slices())
+    def test_slice_worth_and_validator_flag_the_same_senders(self, drawn):
+        net, inst, alpha = drawn
+        theta = inst.service.deadline
+        lam = inst.arrivals
+        active = alpha.sum(axis=1) > 1e-9
+        # independent response times, only to skip draws on the deadline itself
+        loads = alpha.T @ lam
+        resid = inst.capacities() - loads
+        for i in np.flatnonzero(active):
+            used = alpha[i] > 0
+            if np.all(resid[used] > 1e-9):
+                pi = np.sum(alpha[i, used] * (inst.rtt[i, used] + 1.0 / resid[used]))
+                assume(abs(pi - theta) > 1e-7)
+        try:
+            slice_worth(inst, alpha)
+            late = set()
+        except InfeasibleOffload as exc:
+            assert {v.kind for v in exc.violations} == {"deadline"}
+            late = {v.node for v in exc.violations}
+        state = make_state(net, inst.energy, lam)
+        served = np.zeros((1, net.n_nodes, net.n_nodes))
+        served[0] = alpha
+        agreement = make_agreement(
+            net, inst.energy[:, None], served, consistent_rewards(net, state, served)
+        )
+        flagged = {v.node for v in validate_agreement(net, state, agreement) if v.kind == "deadline"}
+        assert late == flagged
 
 
 class TestSpecTypes:

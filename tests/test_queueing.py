@@ -9,6 +9,7 @@ from fogslice.queueing import (
     optimal_local_fraction,
     response_time_forwarding,
     response_time_local,
+    response_times,
 )
 
 
@@ -106,6 +107,24 @@ class TestForwarding:
             )
 
 
+class TestResponseKernel:
+    def test_inf_only_for_senders_on_a_saturated_destination(self):
+        # destination 1 carries 40 + 30 against capacity 60
+        alpha = np.array([[0.2, 0.8, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        arrivals = np.array([50.0, 30.0, 10.0])
+        caps = np.array([40.0, 60.0, 40.0])
+        rtt = np.full((3, 3), 0.02)
+        np.fill_diagonal(rtt, 0.0)
+        pis = response_times(alpha, arrivals, caps, rtt)
+        assert np.isinf(pis[0]) and np.isinf(pis[1])
+        assert pis[2] == pytest.approx(1.0 / 30.0, abs=1e-15)
+
+    def test_idle_sender_and_idle_saturated_destination_cost_nothing(self):
+        alpha = np.array([[1.0, 0.0], [0.0, 0.0]])
+        pis = response_times(alpha, np.array([10.0, 5.0]), np.array([30.0, 0.0]), np.zeros((2, 2)))
+        assert pis.tolist() == [0.05, 0.0]
+
+
 class TestOptimalLocalFraction:
     def test_interior_solution_meets_deadline_exactly(self):
         frac = optimal_local_fraction(10, 2, 10.0, 100.0, 0.05)
@@ -126,9 +145,7 @@ class TestOptimalLocalFraction:
     def test_whole_unit_activation(self):
         # 3 energy at 2 per unit activates 1 unit, not 1.5
         whole = optimal_local_fraction(3, 2, 10.0, 20.0, 0.25)
-        relaxed = optimal_local_fraction(3, 2, 10.0, 20.0, 0.25, whole_units=False)
         assert whole == pytest.approx(0.30, abs=1e-12)
-        assert relaxed == pytest.approx(0.55, abs=1e-12)
 
     def test_agrees_with_bisection(self, rng):
         hits = 0
