@@ -44,7 +44,6 @@ from .game import (
     CoreOptions,
     CoreResult,
     GameInstance,
-    InfeasibleOffload,
     OffloadSolution,
     SliceInstance,
     SolverOptions,
@@ -52,7 +51,6 @@ from .game import (
     check_core,
     dump_instance,
     load_instance,
-    slice_worth,
     solve_energy_split,
     solve_offload,
     solve_social_welfare,
@@ -71,7 +69,6 @@ from .queueing import (
     DegenerateArrival,
     UnstableError,
     optimal_local_fraction,
-    response_time_forwarding,
     response_time_local,
 )
 from .topology import (

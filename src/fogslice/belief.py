@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 ROW_TOL = 1e-9
+# Action values within this of the best count as tied; so do action costs.
+TIE_TOL = 1e-9
 
 
 class ImpossibleObservation(ValueError):
@@ -203,8 +205,6 @@ def select_action(
     env: np.ndarray,
     depth: int,
     action_costs: np.ndarray | None = None,
-    cache: dict | None = None,
-    tie_tol: float = 1e-9,
 ) -> int:
     """Best action index at the given depth; ties prefer the cheaper action.
 
@@ -214,11 +214,11 @@ def select_action(
     Raises:
         ValueError: If the model's observations do not reveal the state.
     """
-    q = _action_values(model, env, depth, cache)
+    q = _action_values(model, env, depth, None)
     best = q.max()
-    candidates = [a for a in range(model.n_actions) if q[a] >= best - tie_tol]
+    candidates = [a for a in range(model.n_actions) if q[a] >= best - TIE_TOL]
     if action_costs is not None:
         costs = np.asarray(action_costs, dtype=float)
         cheapest = min(costs[a] for a in candidates)
-        candidates = [a for a in candidates if costs[a] <= cheapest + tie_tol]
+        candidates = [a for a in candidates if costs[a] <= cheapest + TIE_TOL]
     return candidates[0]

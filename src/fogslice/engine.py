@@ -474,9 +474,7 @@ class _AgentMind:
             key = (av, avail)
             if key not in split_memo:
                 lam = [achains[k].levels[av[k]] for k in range(len(achains))]
-                split, _ = solve_energy_split(
-                    self.node, self.services, lam, avail, require_full=False
-                )
+                split, _ = solve_energy_split(self.node, self.services, lam, avail)
                 split_memo[key] = split
             return split_memo[key]
 
@@ -572,9 +570,7 @@ class _AgentMind:
             nd = self.helper_nodes[hj]
             units = int(agreement.energy[j].sum()) // nd.unit_energy
             lam = arrivals[j]
-            split, _ = solve_energy_split(
-                nd, self.services, lam, nd.max_units * nd.unit_energy, require_full=False
-            )
+            split, _ = solve_energy_split(nd, self.services, lam, nd.max_units * nd.unit_energy)
             own_need = int(split.sum()) // nd.unit_energy
             spare = max(0, units - own_need)
             t = self.type_space.classify(spare)

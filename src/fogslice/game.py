@@ -22,26 +22,18 @@ import itertools
 import math
 import shlex
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .model import FogNodeSpec, NetworkSpec, ServiceTypeSpec, SlicingAgreement, Violation
+from .model import FogNodeSpec, NetworkSpec, ServiceTypeSpec, SlicingAgreement
 from .queueing import capacity, optimal_local_fraction, response_times
 
 # Destinations always keep this much residual capacity (requests/s); far above
 # the 1e-9 saturation tolerance, far below any economically relevant load.
 RESIDUAL_FLOOR = 1e-6
 FEAS_TOL = 1e-9
-
-
-class InfeasibleOffload(ValueError):
-    """An offload matrix violating slice constraints, with the violations."""
-
-    def __init__(self, violations: list[Violation]):
-        self.violations = violations
-        super().__init__("; ".join(str(v) for v in violations))
 
 
 @dataclass(frozen=True)
@@ -128,50 +120,6 @@ class GameInstance:
             neighbors=net.neighbors,
             rtt=net.rtt,
         )
-
-
-def slice_worth(instance: SliceInstance, alpha: np.ndarray, tol: float = FEAS_TOL) -> float:
-    """Total payoff of a slice under an offload matrix (Eq.-style sender sum).
-
-    Every sender's served workload counts, whether or not it committed
-    energy itself; forwarding-only members earn for workload their
-    neighbors process.
-
-    Raises:
-        InfeasibleOffload: If the matrix breaks any slice constraint.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    n = instance.n_nodes
-    if alpha.shape != (n, n):
-        raise ValueError(f"alpha must be {n}x{n}")
-    violations: list[Violation] = []
-    allowed = instance.allowed()
-    lam = instance.arrivals
-    caps = instance.capacities()
-    if np.any(alpha < -tol):
-        i = int(np.argwhere(alpha < -tol)[0][0])
-        violations.append(Violation("allocation", i, None, "negative fraction"))
-    stray = (~allowed) & (np.abs(alpha) > tol)
-    if np.any(stray):
-        i = int(np.argwhere(stray)[0][0])
-        violations.append(Violation("allocation", i, None, "offload outside forwarding graph"))
-    rows = alpha.sum(axis=1)
-    for i in np.flatnonzero(rows > 1.0 + tol):
-        violations.append(Violation("allocation", int(i), None, f"row sum {rows[i]:.6f} > 1"))
-    loads = alpha.T @ lam
-    for m in np.flatnonzero(loads > caps + tol):
-        violations.append(Violation("capacity", int(m), None, f"load {loads[m]:.6f} > {caps[m]:.6f}"))
-    if not violations:
-        pis = response_times(alpha, lam, caps, instance.rtt)
-        theta = instance.service.deadline
-        for i in range(n):
-            if rows[i] > tol and pis[i] > theta + tol:
-                violations.append(
-                    Violation("deadline", i, None, f"response {pis[i]:.6f} > {theta:.6f}")
-                )
-    if violations:
-        raise InfeasibleOffload(violations)
-    return float(instance.service.reward * np.sum(lam * rows))
 
 
 INSTANCE_HEADER = "fogslice-instance 1"
@@ -318,6 +266,10 @@ def _waterfill(tau, cap, box, lam, theta):
     strictly convex and increasing, so the optimum equalizes the marginal
     price phi_m(a) = tau_m + cap_m/(cap_m - lam*a)^2 across destinations in
     use; the common price is found by bisection.
+
+    Raises:
+        ValueError: If a destination in use has lam * box >= cap, so its box
+            leaves no residual capacity.
     """
     full = np.zeros_like(cap)
     active = (box > 1e-15) & (cap > RESIDUAL_FLOOR)
@@ -326,6 +278,8 @@ def _waterfill(tau, cap, box, lam, theta):
     t = tau[active]
     c = cap[active]
     b = box[active]
+    if np.any(lam * b >= c):
+        raise ValueError("box leaves a destination in use no residual capacity")
     phi0 = t + 1.0 / c
 
     def alloc(mu):
@@ -341,7 +295,7 @@ def _waterfill(tau, cap, box, lam, theta):
         g = float((a * t + a / resid).sum())
         return (a.sum() <= 1.0 + 1e-15) and (g <= theta + 1e-15), a
 
-    resid_box = np.maximum(c - lam * b, 1e-300)
+    resid_box = c - lam * b
     hi = float((t + c / resid_box**2).max()) * 2.0 + 1.0
     ok_hi, a_hi = feasible(hi)
     if ok_hi:
@@ -705,30 +659,59 @@ def solve_offload(instance: SliceInstance) -> OffloadSolution:
 # Energy split of one node across services.
 
 
-def _split_value_table(node: FogNodeSpec, services, arrivals, budget: int, demands=None):
-    """values[k][e]: payoff of giving service k exactly e energy, alone.
+def _energy_cap(node: FogNodeSpec, budget) -> int:
+    """Most energy one service of ``node`` can take from ``budget``: the unit cap."""
+    return min(int(budget), node.max_units * node.unit_energy)
 
-    ``demands`` widens the served-workload target beyond the node's own
-    arrivals (used to provision for inbound forwarding).
-    """
+
+def _split_value_table(node: FogNodeSpec, services, arrivals, budget: int):
+    """values[k][e]: closed-form payoff of giving service k exactly e energy, alone."""
     budget = int(budget)
     tables = []
     for k, svc in enumerate(services):
         lam = float(arrivals[k])
         values = np.zeros(budget + 1)
-        w = svc.unit_rate * node.rate_factor
-        for e in range(budget + 1):
-            if demands is None:
-                if lam <= 0:
-                    continue
+        if lam > 0:
+            w = svc.unit_rate * node.rate_factor
+            for e in range(budget + 1):
                 frac = optimal_local_fraction(e, node.unit_energy, w, lam, svc.deadline)
                 values[e] = svc.reward * lam * frac
-            else:
-                cap = capacity(w, e, node.unit_energy)
-                served = min(max(0.0, cap - 1.0 / svc.deadline), float(demands[k]))
-                values[e] = svc.reward * served
         tables.append(values)
     return tables
+
+
+def _best_split(tables, budget: int, cap: int, step: int):
+    """Best whole-unit split of at most ``budget`` energy over per-service value tables.
+
+    ``tables[k][e]`` is the payoff of giving service k energy e; each service
+    gets a multiple of ``step`` up to ``cap``.  The best split has the most
+    value, then the smallest total (energy that buys nothing stays unspent),
+    then the smallest sum of squares (the balanced split).  Values compare
+    exactly; splits equal on all three keep the one found first.
+
+    Returns:
+        (split, value): integer energy per service and its summed value.
+    """
+    units = budget // step
+    # dp[u] = best (value, -sum of squares, split) committing exactly u units
+    dp: list[tuple[float, int, tuple[int, ...]] | None] = [None] * (units + 1)
+    dp[0] = (0.0, 0, ())
+    for table in tables:
+        nxt: list[tuple[float, int, tuple[int, ...]] | None] = [None] * (units + 1)
+        for u, entry in enumerate(dp):
+            if entry is None:
+                continue
+            value, neg_sq, split = entry
+            for du in range(min(cap // step, units - u) + 1):
+                e = du * step
+                cand = (value + table[e], neg_sq - e * e, split + (e,))
+                cur = nxt[u + du]
+                if cur is None or cand[:2] > cur[:2]:
+                    nxt[u + du] = cand
+        dp = nxt
+    best = max((u for u, entry in enumerate(dp) if entry is not None), key=lambda u: (dp[u][0], -u))
+    value, _, split = dp[best]
+    return np.array(split, dtype=int), float(value)
 
 
 def solve_energy_split(
@@ -736,14 +719,13 @@ def solve_energy_split(
     services: tuple[ServiceTypeSpec, ...],
     arrivals,
     budget: int,
-    require_full: bool = True,
 ):
-    """Best integer split of an energy budget across services for one node alone.
+    """Best whole-unit split of an energy budget across services for one node alone.
 
     Maximizes the summed closed-form payoff of serving the node's own
-    arrivals.  Ties prefer the balanced split (smallest sum of squares); in
-    slack mode (require_full=False) a smaller total outranks balance, so
-    useless energy is left unspent.
+    arrivals; each service gets whole units up to the node's unit cap.
+    Ties prefer the smaller total, so energy that serves nothing is left
+    unspent, then the balanced split (smallest sum of squares).
 
     Returns:
         (split, value): integer energy per service and the summed payoff.
@@ -751,44 +733,8 @@ def solve_energy_split(
     budget = int(budget)
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    k_n = len(services)
-    caps = [min(budget, node.max_units * node.unit_energy) for _ in services]
-    if require_full and sum(caps) < budget:
-        raise ValueError(
-            f"budget {budget} cannot be fully allocated under the per-service unit cap"
-        )
     tables = _split_value_table(node, services, arrivals, budget)
-    # dp[b] = best (value, -sum_sq, split) committing exactly b energy
-    dp: list[tuple[float, float, tuple[int, ...]] | None] = [None] * (budget + 1)
-    dp[0] = (0.0, 0.0, ())
-    for k in range(k_n):
-        nxt: list[tuple[float, float, tuple[int, ...]] | None] = [None] * (budget + 1)
-        for b, entry in enumerate(dp):
-            if entry is None:
-                continue
-            value, neg_sq, split = entry
-            for e in range(0, min(caps[k], budget - b) + 1):
-                cand = (value + tables[k][e], neg_sq - e * e, split + (e,))
-                cur = nxt[b + e]
-                if cur is None or cand[:2] > cur[:2]:
-                    nxt[b + e] = cand
-        dp = nxt
-    if require_full:
-        best = dp[budget]
-        if best is None:
-            raise ValueError("budget cannot be split under the caps")
-    else:
-        best = None
-        for b in range(budget + 1):
-            entry = dp[b]
-            if entry is None:
-                continue
-            key = (entry[0], -b, entry[1])
-            if best is None or key > best[0]:
-                best = (key, entry)
-        best = best[1]
-    value, _, split = best
-    return np.array(split, dtype=int), float(value)
+    return _best_split(tables, budget, _energy_cap(node, budget), node.unit_energy)
 
 
 # ---------------------------------------------------------------------------
@@ -810,13 +756,6 @@ class WelfareSolution:
     rounds: int
 
 
-def _service_caps(game: GameInstance) -> np.ndarray:
-    """Per node, per service energy ceiling from the unit cap (n x K)."""
-    return np.array(
-        [[nd.max_units * nd.unit_energy] * game.network.n_services for nd in game.network.nodes]
-    )
-
-
 def _assemble(game: GameInstance, energy: np.ndarray, alphas: list[np.ndarray]) -> SlicingAgreement:
     n, k_n = game.network.n_nodes, game.network.n_services
     rewards = np.zeros((n, k_n))
@@ -830,10 +769,9 @@ def _assemble(game: GameInstance, energy: np.ndarray, alphas: list[np.ndarray]) 
 
 
 def _exhaustive_vector_count(game: GameInstance) -> int:
-    caps = _service_caps(game)
     count = 1
-    for i in range(game.network.n_nodes):
-        count *= int(min(game.budgets[i], caps[i, 0])) + 1
+    for nd, budget in zip(game.network.nodes, game.budgets):
+        count *= _energy_cap(nd, budget) + 1
         if count > 10**9:
             break
     return count
@@ -848,10 +786,9 @@ def _solve_exhaustive(game: GameInstance) -> WelfareSolution:
     """
     net = game.network
     n, k_n = net.n_nodes, net.n_services
-    caps = _service_caps(game)
+    ranges = [range(_energy_cap(nd, budget) + 1) for nd, budget in zip(net.nodes, game.budgets)]
     per_service: list[dict[tuple[int, ...], tuple[float, np.ndarray]]] = []
     for k in range(k_n):
-        ranges = [range(int(min(game.budgets[i], caps[i, k])) + 1) for i in range(n)]
         table: dict[tuple[int, ...], tuple[float, np.ndarray]] = {}
         for vec in itertools.product(*ranges):
             sol = solve_offload(game.slice_for(k, np.array(vec)))
@@ -893,15 +830,13 @@ def _solve_exhaustive(game: GameInstance) -> WelfareSolution:
 
 
 def _isolated_candidate(game: GameInstance):
-    """Every node alone: slack-mode split plus the closed-form local fraction."""
+    """Every node alone: its best energy split plus the closed-form local fraction."""
     net = game.network
     n, k_n = net.n_nodes, net.n_services
     energy = np.zeros((n, k_n), dtype=int)
     alphas = [np.zeros((n, n)) for _ in range(k_n)]
     for i, nd in enumerate(net.nodes):
-        split, _ = solve_energy_split(
-            nd, net.services, game.arrivals[i], int(game.budgets[i]), require_full=False
-        )
+        split, _ = solve_energy_split(nd, net.services, game.arrivals[i], int(game.budgets[i]))
         energy[i] = split
         for k, svc in enumerate(net.services):
             lam = game.arrivals[i, k]
@@ -922,41 +857,6 @@ def _total_welfare(game: GameInstance, alphas) -> float:
     return total
 
 
-def _slack_split(tables, budget: int, caps, step: int) -> np.ndarray:
-    """Best whole-unit energy split of ``budget`` over the value tables.
-
-    Unlike the per-node split used for isolated play, nothing forces the
-    budget to be spent; ties prefer committing less.
-    """
-    neg = -1e18
-    dp = np.full(budget + 1, neg)
-    dp[0] = 0.0
-    picks = []
-    for k, table in enumerate(tables):
-        ndp = np.full(budget + 1, neg)
-        pick = np.zeros(budget + 1, dtype=int)
-        for prev in range(budget + 1):
-            if dp[prev] <= neg / 2:
-                continue
-            for e in range(0, caps[k] + 1, max(step, 1)):
-                total = prev + e
-                if total > budget:
-                    break
-                value = dp[prev] + table[e]
-                if value > ndp[total] + 1e-12:
-                    ndp[total] = value
-                    pick[total] = e
-        dp = ndp
-        picks.append(pick)
-    best_total = max(range(budget + 1), key=lambda t: (dp[t], -t))
-    split = np.zeros(len(tables), dtype=int)
-    total = best_total
-    for k in reversed(range(len(tables))):
-        split[k] = picks[k][total]
-        total -= split[k]
-    return split
-
-
 def _demand_candidate(game: GameInstance):
     """Provision capacity for own plus potential inbound workload, then route."""
     net = game.network
@@ -969,12 +869,19 @@ def _demand_candidate(game: GameInstance):
     for i, nd in enumerate(net.nodes):
         demands = game.arrivals[i] + inbound[i]
         budget = int(game.budgets[i])
-        tables = _split_value_table(nd, net.services, game.arrivals[i], budget, demands=demands)
-        caps = [min(budget, nd.max_units * nd.unit_energy) for _ in net.services]
+        tables = []
+        for k, svc in enumerate(net.services):
+            w = svc.unit_rate * nd.rate_factor
+            # requests e energy serves inside the deadline, up to the demand
+            served = [
+                min(max(0.0, capacity(w, e, nd.unit_energy) - 1.0 / svc.deadline), demands[k])
+                for e in range(budget + 1)
+            ]
+            tables.append([svc.reward * s for s in served])
         # the demand-driven value curves are flat for the first units (the
         # deadline floor eats them), so a marginal greedy stalls; a small
         # exact split over whole units does not
-        energy[i] = _slack_split(tables, budget, caps, nd.unit_energy)
+        energy[i], _ = _best_split(tables, budget, _energy_cap(nd, budget), nd.unit_energy)
     alphas = []
     for k in range(k_n):
         sol = solve_offload(game.slice_for(k, energy[:, k]))
@@ -1214,7 +1121,7 @@ def _search_subset(game, members, current, grid: float, budget: int):
     for m in members:
         nd = net.nodes[m]
         budget_m = int(game.budgets[m])
-        cap_per = min(budget_m, nd.max_units * nd.unit_energy)
+        cap_per = _energy_cap(nd, budget_m)
         splits = [
             s
             for s in itertools.product(range(0, cap_per + 1, nd.unit_energy), repeat=k_n)

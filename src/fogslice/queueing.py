@@ -87,42 +87,6 @@ def response_times(
     return terms.sum(axis=1)
 
 
-def response_time_forwarding(
-    alpha: np.ndarray,
-    arrivals: np.ndarray,
-    capacities: np.ndarray,
-    rtt: np.ndarray,
-    sender: int | None = None,
-):
-    """Checked response time of offloaded workload, per sender (see response_times).
-
-    Args:
-        alpha: Offload fraction matrix (n x n), row per sender.
-        arrivals: Arrival rate per node (n,), requests/s.
-        capacities: Activated capacity per node (n,), requests/s.
-        rtt: Round-trip times (n x n), zero diagonal.
-        sender: Node whose response time is wanted; None returns all senders.
-
-    Raises:
-        UnstableError: If a destination carrying load of the requested
-            sender(s) has no residual capacity (within 1e-9).
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    arrivals = np.asarray(arrivals, dtype=float)
-    capacities = np.asarray(capacities, dtype=float)
-    pis = response_times(alpha, arrivals, capacities, np.asarray(rtt, dtype=float))
-    wanted = pis if sender is None else pis[sender]
-    if not np.all(np.isfinite(wanted)):
-        loads = alpha.T @ arrivals
-        used = alpha > 0
-        relevant = used[sender] if sender is not None else used.any(axis=0)
-        m = int(np.argmax(relevant & (capacities - loads <= SATURATION_TOL)))
-        raise UnstableError(
-            f"destination {m}: load {loads[m]:.6f} saturates capacity {capacities[m]:.6f}"
-        )
-    return float(wanted) if sender is not None else pis
-
-
 def optimal_local_fraction(
     energy: float,
     unit_energy: int,

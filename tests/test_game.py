@@ -4,21 +4,32 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogslice.game import (
+    RESIDUAL_FLOOR,
     CoreOptions,
     GameInstance,
-    InfeasibleOffload,
     SliceInstance,
+    _best_split,
+    _waterfill,
     check_core,
     dump_instance,
     load_instance,
-    slice_worth,
+    lone_sender_share,
     solve_energy_split,
     solve_offload,
     solve_social_welfare,
 )
-from fogslice.model import ServiceTypeSpec, SlicingAgreement
+from fogslice.model import (
+    FogNodeSpec,
+    NetworkSpec,
+    ServiceTypeSpec,
+    SlicingAgreement,
+    SlotState,
+    validate_agreement,
+)
 from fogslice.oracles import grid_slice_welfare
 from fogslice.queueing import optimal_local_fraction, response_times
 
@@ -69,51 +80,53 @@ def random_slice(rng, n_max=3):
     )
 
 
+def slice_verdict(inst, alpha):
+    """validate_agreement's violations for one slice under alpha, and its payoff.
+
+    The slice becomes a one-service network whose nodes hold exactly the
+    committed energy; rewards are recorded as the offloaded workload earns.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    net = NetworkSpec(
+        services=(inst.service,), nodes=inst.nodes, neighbors=inst.neighbors, rtt=inst.rtt
+    )
+    rewards = inst.service.reward * inst.arrivals * alpha.sum(axis=1)
+    state = SlotState(
+        battery=inst.energy,
+        arrivals=inst.arrivals[:, None],
+        harvested_prev=np.zeros(inst.n_nodes, dtype=int),
+    )
+    agreement = SlicingAgreement(
+        energy=inst.energy[:, None], offload=alpha[None], rewards=rewards[:, None]
+    )
+    return validate_agreement(net, state, agreement), float(rewards.sum())
+
+
 class TestSliceWorth:
     def test_two_members_sum(self):
         inst = pair_slice([5, 5], [30.0, 20.0])
-        alpha = np.eye(2)
-        assert slice_worth(inst, alpha) == pytest.approx(50.0)
+        assert slice_verdict(inst, np.eye(2)) == ([], pytest.approx(50.0))
 
     def test_zero_offload(self):
         inst = pair_slice([5, 5], [30.0, 20.0])
-        assert slice_worth(inst, np.zeros((2, 2))) == 0.0
+        assert slice_verdict(inst, np.zeros((2, 2))) == ([], 0.0)
 
     def test_infeasible_rejected_with_violations(self):
         inst = pair_slice([1, 0], [30.0, 0.0])
         # 30 req into capacity 10
-        with pytest.raises(InfeasibleOffload) as err:
-            slice_worth(inst, np.eye(2))
-        assert err.value.violations
+        violations, _ = slice_verdict(inst, np.eye(2))
+        assert any(v.kind == "capacity" and v.node == 0 for v in violations)
 
     def test_row_sum_above_one_rejected(self):
         inst = pair_slice([5, 5], [10.0, 10.0])
         alpha = np.array([[0.8, 0.4], [0.0, 1.0]])
-        with pytest.raises(InfeasibleOffload):
-            slice_worth(inst, alpha)
+        violations, _ = slice_verdict(inst, alpha)
+        assert [(v.kind, v.node) for v in violations] == [("allocation", 0)]
 
     def test_deadline_breach_rejected(self):
         inst = pair_slice([3, 0], [29.0, 0.0], deadline=0.05)
-        with pytest.raises(InfeasibleOffload):
-            slice_worth(inst, np.eye(2) * [1.0, 0.0])
-
-    def test_monotone_in_member_energy(self, rng):
-        for _ in range(25):
-            inst = random_slice(rng)
-            base = solve_offload(inst).welfare
-            i = int(rng.integers(inst.n_nodes))
-            energy = np.asarray(inst.energy).copy()
-            energy[i] += 1
-            richer = SliceInstance(
-                service=inst.service,
-                nodes=inst.nodes,
-                energy=energy,
-                arrivals=inst.arrivals,
-                neighbors=inst.neighbors,
-                rtt=inst.rtt,
-            )
-            # ascent termination noise sits near 1e-8 on full-service instances
-            assert solve_offload(richer).welfare >= base - 1e-6
+        violations, _ = slice_verdict(inst, np.eye(2) * [1.0, 0.0])
+        assert [(v.kind, v.node) for v in violations] == [("deadline", 0)]
 
 
 class TestSolveOffload:
@@ -145,7 +158,9 @@ class TestSolveOffload:
         assert sol.welfare >= oracle - 1e-9
         assert sol.welfare - oracle <= 1e-3 * oracle
         # the reported objective is really achieved by the returned matrix
-        assert slice_worth(inst, sol.alpha) == pytest.approx(sol.welfare, abs=1e-7)
+        violations, worth = slice_verdict(inst, sol.alpha)
+        assert violations == []
+        assert worth == pytest.approx(sol.welfare, abs=1e-7)
 
     def test_large_rtt_kills_cross_forwarding(self):
         inst = pair_slice([5, 5], [80.0, 5.0], deadline=0.05, tau=0.06)
@@ -192,14 +207,70 @@ class TestSolveOffload:
         assert np.all(sol.alpha == 0.0)
         assert sol.welfare == 0.0
 
+    def test_monotone_in_member_energy(self, rng):
+        for _ in range(25):
+            inst = random_slice(rng)
+            base = solve_offload(inst).welfare
+            i = int(rng.integers(inst.n_nodes))
+            energy = np.asarray(inst.energy).copy()
+            energy[i] += 1
+            richer = SliceInstance(
+                service=inst.service,
+                nodes=inst.nodes,
+                energy=energy,
+                arrivals=inst.arrivals,
+                neighbors=inst.neighbors,
+                rtt=inst.rtt,
+            )
+            # ascent termination noise sits near 1e-8 on full-service instances
+            assert solve_offload(richer).welfare >= base - 1e-6
+
+
+def assert_best_whole_unit_split(split, value, tables, budget, cap, step):
+    """Check split against every whole-unit split within cap and budget.
+
+    It must be worth value, and none may beat it on value, then smaller
+    total, then smaller sum of squares.
+    """
+
+    def key(s):
+        worth = 0.0
+        for table, e in zip(tables, s):
+            worth += table[e]
+        return worth, -sum(s), -sum(e * e for e in s)
+
+    units = range(0, cap + 1, step)
+    best = max(key(s) for s in itertools.product(units, repeat=len(tables)) if sum(s) <= budget)
+    split = tuple(int(e) for e in split)
+    assert all(e % step == 0 and 0 <= e <= cap for e in split)
+    assert sum(split) <= budget
+    assert key(split) == best
+    assert value == best[0]
+
+
+class TestWaterfill:
+    def test_box_without_residual_rejected(self):
+        tau = np.full(3, 0.01)
+        cap = np.array([20.0, 30.0, 40.0])
+        # 60 requests into any one destination saturate it
+        with pytest.raises(ValueError):
+            _waterfill(tau, cap, np.ones(3), 60.0, 0.1)
+        # boxes that leave the residual floor serve a share
+        assert np.all((cap - RESIDUAL_FLOOR) / 60.0 < 1.0)
+        assert lone_sender_share(tau, cap, 60.0, 0.1) > 0.0
+
 
 class TestEnergySplit:
     def test_single_service_gets_everything(self):
         node = make_node()
         svcs = (make_service(),)
-        split, value = solve_energy_split(node, svcs, np.array([25.0]), 6)
+        split, value = solve_energy_split(node, svcs, np.array([80.0]), 6)
         assert split[0] == 6
-        assert value == pytest.approx(optimal_local_fraction(6, 1, 10.0, 25.0, 0.1) * 25.0)
+        assert value == pytest.approx(optimal_local_fraction(6, 1, 10.0, 80.0, 0.1) * 80.0)
+        # 4 units already serve all 25 requests: the rest stays unspent
+        split, value = solve_energy_split(node, svcs, np.array([25.0]), 6)
+        assert split[0] == 4
+        assert value == pytest.approx(25.0)
 
     def test_symmetric_services_split_evenly(self):
         node = make_node()
@@ -234,6 +305,53 @@ class TestEnergySplit:
         assert split[0] == 0
         assert value == 0.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 12),  # budget
+        st.integers(0, 12),  # cap
+        st.integers(1, 3),  # step
+        # small integer values, so ties are common
+        st.lists(st.lists(st.integers(0, 3), min_size=13, max_size=13), min_size=1, max_size=3),
+    )
+    def test_best_split_matches_enumeration(self, budget, cap, step, int_tables):
+        tables = [[float(v) for v in t] for t in int_tables]
+        split, value = _best_split(tables, budget, cap, step)
+        assert_best_whole_unit_split(split, value, tables, budget, cap, step)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 3),  # unit energy
+        st.integers(1, 5),  # max units
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.05, 0.1, 0.2]),
+                st.sampled_from([5.0, 10.0, 20.0]),
+                st.sampled_from([0.0, 10.0, 20.0, 40.0]),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(0, 12),
+    )
+    def test_split_matches_enumeration(self, unit_energy, max_units, specs, budget):
+        node = FogNodeSpec(max_units=max_units, unit_energy=unit_energy, battery_cap=100)
+        svcs = tuple(
+            make_service(name=f"s{k}", deadline=d, unit_rate=w) for k, (d, w, _) in enumerate(specs)
+        )
+        arrivals = np.array([lam for _, _, lam in specs])
+        tables = [
+            [
+                lam * optimal_local_fraction(e, unit_energy, svc.unit_rate, lam, svc.deadline)
+                if lam > 0
+                else 0.0
+                for e in range(budget + 1)
+            ]
+            for svc, lam in zip(svcs, arrivals)
+        ]
+        split, value = solve_energy_split(node, svcs, arrivals, budget)
+        cap = min(budget, max_units * unit_energy)
+        assert_best_whole_unit_split(split, value, tables, budget, cap, unit_energy)
+
 
 class TestSocialWelfare:
     def test_isolated_network_composes_per_node_splits(self):
@@ -260,8 +378,6 @@ class TestSocialWelfare:
             make_service(name="a", deadline=0.1, unit_rate=50.0),
             make_service(name="b", deadline=0.1, unit_rate=60.0),
         )
-        from fogslice.model import NetworkSpec
-
         net = NetworkSpec(
             services=svcs,
             nodes=tuple(make_node(battery_cap=50) for _ in range(3)),
@@ -303,8 +419,6 @@ class TestSocialWelfare:
             assert coop >= iso - 1e-7
 
     def test_agreement_validates(self, rng):
-        from fogslice.model import SlotState, validate_agreement
-
         for _ in range(8):
             n = int(rng.integers(1, 4))
             net = make_network(n_nodes=n)

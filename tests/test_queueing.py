@@ -7,7 +7,6 @@ from fogslice.queueing import (
     DegenerateArrival,
     UnstableError,
     optimal_local_fraction,
-    response_time_forwarding,
     response_time_local,
     response_times,
 )
@@ -35,17 +34,17 @@ class TestForwarding:
         arrivals = np.array([30.0, 20.0])
         caps = np.array([40.0, 40.0])
         rtt = np.array([[0.0, 0.02], [0.02, 0.0]])
+        fwd = response_times(alpha, arrivals, caps, rtt)
         for i in range(2):
-            fwd = response_time_forwarding(alpha, arrivals, caps, rtt, sender=i)
             loc = response_time_local(1.0, arrivals[i], caps[i])
-            assert fwd == pytest.approx(loc, abs=1e-12)
+            assert fwd[i] == pytest.approx(loc, abs=1e-12)
 
     def test_split_between_self_and_idle_neighbor(self):
         alpha = np.array([[0.5, 0.5], [0.0, 0.0]])
         arrivals = np.array([40.0, 0.0])
         caps = np.array([30.0, 40.0])
         rtt = np.array([[0.0, 0.02], [0.02, 0.0]])
-        pi = response_time_forwarding(alpha, arrivals, caps, rtt, sender=0)
+        pi = response_times(alpha, arrivals, caps, rtt)[0]
         # 0.5/(30-20) + 0.5*(0.02 + 1/(40-20))
         assert pi == pytest.approx(0.085, abs=1e-12)
 
@@ -54,17 +53,8 @@ class TestForwarding:
         arrivals = np.array([40.0, 0.0])
         caps = np.array([1.0, 50.0])
         rtt = np.array([[0.0, 0.02], [0.02, 0.0]])
-        pi = response_time_forwarding(alpha, arrivals, caps, rtt, sender=0)
+        pi = response_times(alpha, arrivals, caps, rtt)[0]
         assert pi == pytest.approx(0.120, abs=1e-12)
-
-    def test_saturated_destination_named(self):
-        alpha = np.array([[0.2, 0.8], [0.0, 1.0]])
-        arrivals = np.array([50.0, 30.0])
-        caps = np.array([40.0, 60.0])
-        rtt = np.array([[0.0, 0.02], [0.02, 0.0]])
-        with pytest.raises(UnstableError) as err:
-            response_time_forwarding(alpha, arrivals, caps, rtt, sender=0)
-        assert "1" in str(err.value)
 
     def test_monotone_in_alpha_and_arrivals(self, rng):
         for _ in range(200):
@@ -77,34 +67,22 @@ class TestForwarding:
             alpha /= alpha.sum(axis=1, keepdims=True) * rng.uniform(1.0, 2.0)
             i = int(rng.integers(n))
             m = int(rng.integers(n))
-            base = response_time_forwarding(alpha, arrivals, caps, rtt, sender=i)
+            base = response_times(alpha, arrivals, caps, rtt)[i]
 
             bumped = alpha.copy()
             bumped[i, m] = min(1.0, bumped[i, m] + 0.02)
-            up = response_time_forwarding(bumped, arrivals, caps, rtt, sender=i)
+            up = response_times(bumped, arrivals, caps, rtt)[i]
             assert up >= base - 1e-12
 
             heavier = arrivals.copy()
             heavier[int(rng.integers(n))] += 1.0
-            up = response_time_forwarding(alpha, heavier, caps, rtt, sender=i)
+            up = response_times(alpha, heavier, caps, rtt)[i]
             assert up >= base - 1e-12
 
             richer = caps.copy()
             richer += 5.0
-            down = response_time_forwarding(alpha, arrivals, richer, rtt, sender=i)
+            down = response_times(alpha, arrivals, richer, rtt)[i]
             assert down < base
-
-    def test_all_senders_when_sender_omitted(self):
-        alpha = np.array([[0.5, 0.2], [0.0, 0.5]])
-        arrivals = np.array([20.0, 10.0])
-        caps = np.array([50.0, 50.0])
-        rtt = np.array([[0.0, 0.02], [0.02, 0.0]])
-        per_sender = response_time_forwarding(alpha, arrivals, caps, rtt)
-        assert per_sender.shape == (2,)
-        for i in range(2):
-            assert per_sender[i] == pytest.approx(
-                response_time_forwarding(alpha, arrivals, caps, rtt, sender=i)
-            )
 
 
 class TestResponseKernel:
