@@ -7,7 +7,9 @@ welfare problem independently on every connected component of the
 cooperation graph, validate the resulting agreement, record it, and step
 the batteries and chains.  Chains are driven by their own seeded stream,
 so two policies run with the same seed face identical weather and
-workload.
+workload.  Finite chains make the same component game recur; each
+distinct one is solved once per episode and its solution reused, while
+every slot's full agreement is still validated.
 
 The ``bpomdp`` policy gives every node a small planning model of its own
 battery, harvest and arrival chains plus a typed belief about what its
@@ -37,6 +39,7 @@ from . import topology as topo_mod
 from .game import (
     GameInstance,
     SolverOptions,
+    WelfareSolution,
     lone_sender_share,
     solve_energy_split,
     solve_social_welfare,
@@ -637,6 +640,10 @@ class EpisodeResult:
 def run_episode(config: dict | ExperimentConfig) -> EpisodeResult:
     """Simulate one seeded episode under the configured policy.
 
+    Each distinct component game (component, arrivals, budgets) is solved
+    once per episode and its solution reused on every later slot that poses
+    it; every slot's full agreement is still validated.
+
     Raises:
         EngineInvariantError: If any slot's agreement fails validation;
             this signals a solver bug, not a config problem.
@@ -653,6 +660,10 @@ def run_episode(config: dict | ExperimentConfig) -> EpisodeResult:
     comps = weak_components(adj)
     records = []
     belief_trace = [] if minds is not None else None
+    # The solver is pure and the network, components and solver options are
+    # fixed for the episode, so a component's arrivals and budgets determine
+    # its game; each distinct game is solved once.
+    solved: dict[tuple[int, bytes, bytes], WelfareSolution] = {}
     for t in range(cfg.slots):
         arrivals = cfg.env.arrival_rates(state)
         harvested = cfg.env.harvest_amounts(state)
@@ -666,9 +677,13 @@ def run_episode(config: dict | ExperimentConfig) -> EpisodeResult:
         rewards = np.zeros((n, k_n))
         statuses = []
         welfare = 0.0
-        for comp in comps:
-            sol = solve_social_welfare(_component_game(net, arrivals, budgets, comp), cfg.solver)
+        for ci, comp in enumerate(comps):
             idx = np.array(comp)
+            key = (ci, arrivals[idx].tobytes(), budgets[idx].tobytes())
+            sol = solved.get(key)
+            if sol is None:
+                sol = solve_social_welfare(_component_game(net, arrivals, budgets, comp), cfg.solver)
+                solved[key] = sol
             energy[idx] = sol.agreement.energy
             rewards[idx] = sol.agreement.rewards
             for k in range(k_n):

@@ -236,7 +236,8 @@ def validate_agreement(
 
     Returns an empty list iff the agreement is feasible: per-destination
     load within activated capacity, offload rows within the forwarding
-    graph and summing to at most one, committed energy within the battery
+    graph, off edges whose round trip alone meets the deadline, and
+    summing to at most one, committed energy within the battery
     and the per-slice unit cap, every response time within its service
     deadline, and recorded rewards consistent with the offloaded workload.
     Shape errors raise DimensionMismatch instead of being reported.
@@ -282,6 +283,7 @@ def validate_agreement(
     for s in range(k):
         alpha = agreement.offload[s]
         lam = state.arrivals[:, s]
+        theta = network.services[s].deadline
         for i in range(n):
             row = alpha[i]
             if np.any(row < -tol):
@@ -291,6 +293,15 @@ def validate_agreement(
             if stray:
                 violations.append(
                     Violation("allocation", i, s, f"offload outside forwarding graph: {stray}")
+                )
+            # A request forwarded over an edge whose round trip alone meets the
+            # deadline is late however small its share of the mix.
+            closed = [
+                m for m in sorted(allowed - {i}) if row[m] > tol and network.rtt[i, m] >= theta
+            ]
+            if closed:
+                violations.append(
+                    Violation("allocation", i, s, f"offload over edges with rtt >= deadline: {closed}")
                 )
             if row.sum() > 1.0 + tol:
                 violations.append(Violation("allocation", i, s, f"row sum {row.sum():.6f} > 1"))

@@ -9,6 +9,7 @@ from fogslice.belief import type_profile_rewards
 from fogslice.engine import (
     DEFAULT_SERVICES,
     ConfigError,
+    EngineInvariantError,
     build_config,
     emit_report,
     emit_sweep,
@@ -20,6 +21,8 @@ from fogslice.engine import (
     weak_components,
 )
 from fogslice.env import EnvState
+from fogslice.game import solve_social_welfare
+from fogslice.model import Violation
 from fogslice.oracles import value_iteration
 
 from conftest import base_engine_config
@@ -311,6 +314,118 @@ class TestEpisodePhysics:
             assert 0 <= budget <= b
             chosen = mind.actions.index(b - budget)
             assert q[si, chosen] >= q[si].max() - 1e-9
+
+
+def repeating_components_config(slots=30):
+    """A three-node chain and two far loners, two services.
+
+    Two-level arrival and harvest chains and a small battery make the same
+    component games recur; the chain solves on the heuristic path
+    (``exhaustive_nodes`` 2), the loners on the exhaustive one.  The loners
+    differ only in rate factor, so they pose different games whenever their
+    arrivals and budgets coincide.
+    """
+    two_level = {"kind": "levels", "levels": [5.0, 25.0], "transition": [[0.7, 0.3], [0.4, 0.6]]}
+
+    def coin(low, high):
+        return {"kind": "levels", "levels": [low, high], "transition": [[0.5, 0.5], [0.5, 0.5]]}
+
+    return base_engine_config(
+        slots=slots,
+        services=[
+            {"name": "image", "deadline": 0.05, "reward": 1.0, "unit_rate": 10.0},
+            {"name": "voice", "deadline": 0.1, "reward": 2.0, "unit_rate": 40.0},
+        ],
+        defaults={
+            "node": {"max_units": 4, "unit_energy": 1, "battery_cap": 4},
+            "harvest": {"kind": "constant", "value": 4},
+            "arrivals": [{"kind": "constant", "value": 10.0}, two_level],
+        },
+        nodes=[
+            {
+                "position": [0.0, 0.0],
+                "battery_init": 4,
+                "arrivals": [two_level, {"kind": "constant", "value": 20.0}],
+            },
+            {"position": [100.0, 0.0], "battery_init": 4},
+            {"position": [200.0, 0.0], "battery_init": 0, "harvest": coin(1, 3)},
+            {"position": [2000.0, 0.0], "battery_init": 2, "harvest": coin(0, 2)},
+            {"position": [4000.0, 0.0], "battery_init": 2, "harvest": coin(0, 2), "rate_factor": 2.0},
+        ],
+        topology={"rule": "radius", "radius": 150.0, "rtt": {"kind": "constant", "tau0": 0.01}},
+        policy={"kind": "radius_coop"},
+        solver={"exhaustive_nodes": 2},
+    )
+
+
+class TestSolveReuse:
+    @pytest.mark.parametrize(
+        "raw",
+        [scarcity_config(0, "bpomdp", slots=30), repeating_components_config()],
+        ids=["scarcity-bpomdp", "five-node-radius-coop"],
+    )
+    def test_records_match_fresh_solves(self, raw):
+        result = run_episode(raw)
+        cfg = result.config
+        n, k_n = cfg.network.n_nodes, cfg.network.n_services
+        comps = weak_components(policy_adjacency(cfg))
+        games = 0
+        distinct = set()
+        for rec in result.records:
+            energy = np.zeros((n, k_n), dtype=int)
+            rewards = np.zeros((n, k_n))
+            welfare = 0.0
+            statuses = []
+            for comp in comps:
+                g = engine._component_game(cfg.network, rec.arrivals, rec.budgets, comp)
+                sol = solve_social_welfare(g, cfg.solver)
+                energy[comp] = sol.agreement.energy
+                rewards[comp] = sol.agreement.rewards
+                welfare += sol.welfare
+                statuses.append(sol.status)
+                games += 1
+                distinct.add((tuple(comp), g.arrivals.tobytes(), g.budgets.tobytes()))
+            assert np.array_equal(rec.energy, energy)
+            assert np.array_equal(rec.rewards, rewards)
+            assert rec.welfare == welfare
+            assert rec.statuses == tuple(statuses)
+        # the episode must pose some game more than once, or nothing was reused
+        assert len(distinct) < games
+
+    def test_each_distinct_game_solved_once(self, monkeypatch):
+        calls = {"solve": 0, "validate": 0}
+
+        def counting(fn, name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(engine, "solve_social_welfare", counting(solve_social_welfare, "solve"))
+        monkeypatch.setattr(
+            engine, "validate_agreement", counting(engine.validate_agreement, "validate")
+        )
+        result = run_episode(scarcity_config(0, "myopic"))
+        distinct = {(r.arrivals.tobytes(), r.budgets.tobytes()) for r in result.records}
+        assert calls["solve"] == len(distinct) < len(result.records)
+        assert calls["validate"] == len(result.records)
+
+    def test_reused_slot_still_validated(self, monkeypatch):
+        # a violation reported on a slot whose game was solved before still
+        # stops the episode
+        raw = scarcity_config(0, "myopic", slots=10)
+        keys = [(r.arrivals.tobytes(), r.budgets.tobytes()) for r in run_episode(raw).records]
+        reused = next(t for t in range(len(keys)) if keys[t] in keys[:t])
+        calls = []
+
+        def failing_on_reused(net, state, agreement):
+            calls.append(agreement)
+            return [Violation("capacity", 0, 0, "injected")] if len(calls) == reused + 1 else []
+
+        monkeypatch.setattr(engine, "validate_agreement", failing_on_reused)
+        with pytest.raises(EngineInvariantError, match=f"slot {reused}: .*injected"):
+            run_episode(raw)
 
 
 class TestReports:

@@ -128,6 +128,20 @@ class TestSliceWorth:
         violations, _ = slice_verdict(inst, np.eye(2) * [1.0, 0.0])
         assert [(v.kind, v.node) for v in violations] == [("deadline", 0)]
 
+    def test_offload_over_rtt_dominated_edge_rejected(self):
+        # The round trip alone (0.12 s) exceeds the deadline, so the edge is
+        # closed however little of the mix it carries; the fraction-weighted
+        # response time (0.85 / 33 + 0.1 * (0.12 + 1 / 48) = 0.040 s) would
+        # not notice.
+        inst = pair_slice([5, 5], [20.0, 0.0], deadline=0.1, tau=0.12)
+        assert not inst.allowed()[0, 1]
+        violations, _ = slice_verdict(inst, [[0.85, 0.1], [0.0, 0.0]])
+        assert [(v.kind, v.node) for v in violations] == [("allocation", 0)]
+        assert "rtt >= deadline: [1]" in violations[0].detail
+        # The same mix with the edge open passes.
+        open_edge = pair_slice([5, 5], [20.0, 0.0], deadline=0.1, tau=0.02)
+        assert slice_verdict(open_edge, [[0.85, 0.1], [0.0, 0.0]]) == ([], pytest.approx(19.0))
+
 
 class TestSolveOffload:
     def test_single_node_full_service_matches_closed_form(self):
