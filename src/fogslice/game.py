@@ -11,9 +11,10 @@ strictly better for every member on its own.
 
 Offload fractions for one slice are found by block-coordinate ascent: each
 sender in turn gets the row of fractions maximizing its served workload
-subject to every deadline and capacity staying feasible, via an exact
-water-filling step on the marginal delay price.  A grid-search oracle
-(oracles module) backstops the whole pipeline on desk-size instances.
+subject to every deadline and capacity staying feasible, via a water-filling
+step whose common marginal delay price is found by geometric bisection.  A
+grid-search oracle (oracles module) backstops the whole pipeline on
+desk-size instances.
 """
 
 from __future__ import annotations
@@ -265,7 +266,8 @@ def _waterfill(tau, cap, box, lam, theta):
     The delay of destination m is g_m(a) = a*tau_m + a/(cap_m - lam*a),
     strictly convex and increasing, so the optimum equalizes the marginal
     price phi_m(a) = tau_m + cap_m/(cap_m - lam*a)^2 across destinations in
-    use; the common price is found by bisection.
+    use.  The common price is found by geometric bisection, which stops
+    once the price bracket is two adjacent floats and cannot be split.
 
     Raises:
         ValueError: If a destination in use has lam * box >= cap, so its box
@@ -305,6 +307,8 @@ def _waterfill(tau, cap, box, lam, theta):
     best = np.zeros_like(c)
     for _ in range(130):
         mid = math.sqrt(lo * hi)
+        if not lo < mid < hi:
+            break  # the bracket cannot be split; every later step repeats a verdict
         good, a = feasible(mid)
         if good:
             lo, best = mid, a
@@ -509,62 +513,53 @@ def _swap_pass(work: _SliceWork, alpha: np.ndarray) -> bool:
     return moved
 
 
+def _joint_constraints(work: _SliceWork):
+    """The joint NLP's variables x = alpha[rows, cols] and its constraints.
+
+    x covers the allowed (sender, destination) pairs whose destination has
+    capacity.  ``ineq(x)`` stacks every inequality in one vector: each
+    destination's capacity (in ``set`` order), then each sender's row total
+    and deadline.
+    """
+    usable = work.allowed & (work.caps > RESIDUAL_FLOOR) & (work.lam > 0)[:, None]
+    rows, cols = np.nonzero(usable)
+    cap_terms = [
+        (work.caps[m] - RESIDUAL_FLOOR, work.lam[rows[cols == m]], np.flatnonzero(cols == m))
+        for m in set(cols.tolist())
+    ]
+    sender_idx = [(i, np.flatnonzero(rows == i)) for i in work.senders]
+
+    def ineq(x):
+        a = np.zeros((work.n, work.n))
+        a[rows, cols] = x
+        resid = np.maximum(work.caps - a.T @ work.lam, 1e-9)
+        out = [cap_m - np.dot(lam_m, x[idx]) for cap_m, lam_m, idx in cap_terms]
+        for i, idx in sender_idx:
+            out.append(1.0 - float(np.sum(x[idx])))
+            out.append(work.theta - float(np.sum(a[i] * (work.tau[i] + 1.0 / resid))))
+        return np.array(out)
+
+    return rows, cols, ineq
+
+
 def _joint_refine(work: _SliceWork, alpha: np.ndarray) -> np.ndarray:
     """Polish all rows at once with a smooth NLP; keep the best feasible point.
 
     The coupled deadline constraints make the problem non-convex, so a few
-    deterministic starts are tried and the incumbent always survives.
+    deterministic starts are tried, each distinct one once, and the
+    incumbent always survives.  The constraints form one vector function,
+    so SLSQP's finite differences cost one call per gradient, not one per
+    constraint; the step depends only on x and the bounds, so the Jacobian
+    rows are those separate functions would give.
     """
     from scipy.optimize import minimize
 
-    pairs = [
-        (i, m)
-        for i in work.senders
-        for m in range(work.n)
-        if work.allowed[i, m] and work.caps[m] > RESIDUAL_FLOOR
-    ]
-    if not pairs:
+    rows, cols, ineq = _joint_constraints(work)
+    if not rows.size:
         return alpha
-
-    def unpack(x):
-        a = np.zeros((work.n, work.n))
-        for v, (i, m) in zip(x, pairs):
-            a[i, m] = v
-        return a
-
-    lam_of = np.array([work.lam[i] for i, _ in pairs])
+    lam_of = work.lam[rows]
     obj = lambda x: -float(np.dot(lam_of, x))
-    bounds = [
-        (0.0, min(1.0, (work.caps[m] - RESIDUAL_FLOOR) / work.lam[i])) for i, m in pairs
-    ]
-    constraints = []
-    for m in set(m for _, m in pairs):
-        idx = [p for p, (_, pm) in enumerate(pairs) if pm == m]
-        lam_m = np.array([work.lam[pairs[p][0]] for p in idx])
-        cap_m = work.caps[m] - RESIDUAL_FLOOR
-
-        def cap_fun(x, idx=idx, lam_m=lam_m, cap_m=cap_m):
-            return cap_m - np.dot(lam_m, x[idx])
-
-        constraints.append({"type": "ineq", "fun": cap_fun})
-    for i in work.senders:
-        idx = [p for p, (pi, _) in enumerate(pairs) if pi == i]
-
-        def row_fun(x, idx=idx):
-            return 1.0 - float(np.sum(x[idx]))
-
-        def deadline_fun(x, i=i, idx=idx):
-            a = unpack(x)
-            loads = a.T @ work.lam
-            resid = np.maximum(work.caps - loads, 1e-9)
-            row = a[i]
-            return work.theta - float(np.sum(row * (work.tau[i] + 1.0 / resid)))
-
-        constraints.append({"type": "ineq", "fun": row_fun})
-        constraints.append({"type": "ineq", "fun": deadline_fun})
-
-    def pack(a):
-        return np.array([a[i, m] for i, m in pairs])
+    upper = np.minimum(1.0, (work.caps[cols] - RESIDUAL_FLOOR) / lam_of)
 
     def local_start():
         a = np.zeros((work.n, work.n))
@@ -581,21 +576,23 @@ def _joint_refine(work: _SliceWork, alpha: np.ndarray) -> np.ndarray:
             a[i, i] = min(frac, (cap - RESIDUAL_FLOOR) / work.lam[i])
         return a
 
-    best = alpha
-    best_w = work.welfare(alpha)
-    for start in (alpha, local_start(), np.zeros((work.n, work.n))):
+    best, best_w = alpha, work.welfare(alpha)
+    # SLSQP is deterministic, so a repeated start cannot beat the incumbent
+    starts = (alpha, local_start(), np.zeros((work.n, work.n)))
+    for x0 in {x.tobytes(): x for x in (a[rows, cols] for a in starts)}.values():
         with warnings.catch_warnings():
             # SLSQP steps outside its own box and clips; harmless here
             warnings.simplefilter("ignore", RuntimeWarning)
             res = minimize(
                 obj,
-                pack(start),
+                x0,
                 method="SLSQP",
-                bounds=bounds,
-                constraints=constraints,
+                bounds=[(0.0, u) for u in upper],
+                constraints=[{"type": "ineq", "fun": ineq}],
                 options={"maxiter": 300, "ftol": 1e-12},
             )
-        cand = unpack(np.clip(res.x, 0.0, None))
+        cand = np.zeros((work.n, work.n))
+        cand[rows, cols] = np.clip(res.x, 0.0, None)
         cand[cand < 1e-12] = 0.0
         # tiny constraint overshoot from the NLP: pull back toward feasible
         if work.max_violation(cand) > FEAS_TOL:

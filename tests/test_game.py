@@ -1,11 +1,14 @@
 """Per-slot slicing game: offload solver, energy splits, welfare, core."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.optimize
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize._numdiff import approx_derivative
 
 from fogslice.game import (
     RESIDUAL_FLOOR,
@@ -13,6 +16,9 @@ from fogslice.game import (
     GameInstance,
     SliceInstance,
     _best_split,
+    _joint_constraints,
+    _joint_refine,
+    _SliceWork,
     _waterfill,
     check_core,
     dump_instance,
@@ -240,6 +246,127 @@ class TestSolveOffload:
             assert solve_offload(richer).welfare >= base - 1e-6
 
 
+def mesh_slice(rng, n):
+    """Random n-node slice: sparse links, per-edge round trips, idle nodes."""
+    svc = make_service(
+        deadline=float(rng.uniform(0.04, 0.15)),
+        unit_rate=float(rng.uniform(8.0, 30.0)),
+    )
+    links = np.triu(rng.random((n, n)) < 0.7, 1)
+    links = links | links.T
+    rtt = np.triu(rng.uniform(0.005, 0.12, (n, n)), 1)
+    rtt = rtt + rtt.T
+    arrivals = np.round(rng.uniform(0.0, 40.0, n), 1) * (rng.random(n) < 0.8)
+    return SliceInstance(
+        service=svc,
+        nodes=tuple(make_node() for _ in range(n)),
+        energy=rng.integers(0, 5, n),
+        arrivals=arrivals,
+        neighbors=tuple(frozenset(np.flatnonzero(links[i]).tolist()) for i in range(n)),
+        rtt=rtt,
+    )
+
+
+def reference_constraints(work):
+    """The per-constraint closures the joint NLP used before they were stacked.
+
+    Returns the (sender, destination) pairs that x packs and the constraint
+    functions in the order SciPy evaluates them.
+    """
+    pairs = [
+        (i, m)
+        for i in work.senders
+        for m in range(work.n)
+        if work.allowed[i, m] and work.caps[m] > RESIDUAL_FLOOR
+    ]
+
+    def unpack(x):
+        a = np.zeros((work.n, work.n))
+        for v, (i, m) in zip(x, pairs):
+            a[i, m] = v
+        return a
+
+    funs = []
+    for m in set(m for _, m in pairs):
+        idx = [p for p, (_, pm) in enumerate(pairs) if pm == m]
+        lam_m = np.array([work.lam[pairs[p][0]] for p in idx])
+        cap_m = work.caps[m] - RESIDUAL_FLOOR
+
+        def cap_fun(x, idx=idx, lam_m=lam_m, cap_m=cap_m):
+            return cap_m - np.dot(lam_m, x[idx])
+
+        funs.append(cap_fun)
+    for i in work.senders:
+        idx = [p for p, (pi, _) in enumerate(pairs) if pi == i]
+
+        def row_fun(x, idx=idx):
+            return 1.0 - float(np.sum(x[idx]))
+
+        def deadline_fun(x, i=i, idx=idx):
+            a = unpack(x)
+            loads = a.T @ work.lam
+            resid = np.maximum(work.caps - loads, 1e-9)
+            row = a[i]
+            return work.theta - float(np.sum(row * (work.tau[i] + 1.0 / resid)))
+
+        funs.append(row_fun)
+        funs.append(deadline_fun)
+    return pairs, funs
+
+
+class TestJointRefine:
+    def test_stacked_constraints_match_reference(self):
+        rng = np.random.default_rng(6)
+        # SLSQP's default finite-difference step
+        eps = math.sqrt(np.finfo(float).eps)
+        checked = 0
+        for _ in range(60):
+            work = _SliceWork(mesh_slice(rng, int(rng.integers(2, 5))))
+            rows, cols, ineq = _joint_constraints(work)
+            pairs, funs = reference_constraints(work)
+            assert list(zip(rows.tolist(), cols.tolist())) == pairs
+            if not pairs:
+                continue
+            upper = np.minimum(1.0, (work.caps[cols] - RESIDUAL_FLOOR) / work.lam[rows])
+            for _ in range(4):
+                x = rng.uniform(0.0, 1.0, len(pairs)) * upper * (rng.random(len(pairs)) < 0.8)
+                ref = np.concatenate([np.atleast_1d(f(x)).ravel() for f in funs])
+                assert ineq(x).tobytes() == ref.tobytes()
+                # SLSQP's Jacobian: one stacked call gives the rows of the separate ones
+                bounds = (np.zeros(len(pairs)), upper)
+                jac = approx_derivative(ineq, x, method="2-point", abs_step=eps, bounds=bounds)
+                ref_jac = np.vstack(
+                    [
+                        np.atleast_2d(
+                            approx_derivative(f, x, method="2-point", abs_step=eps, bounds=bounds)
+                        )
+                        for f in funs
+                    ]
+                )
+                assert jac.tobytes() == ref_jac.tobytes()
+                checked += 1
+        assert checked >= 100
+
+    def test_each_distinct_start_solved_once(self, monkeypatch):
+        starts = []
+        real = scipy.optimize.minimize
+
+        def counting(fun, x0, *args, **kwargs):
+            starts.append(np.asarray(x0).tobytes())
+            return real(fun, x0, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", counting)
+        work = _SliceWork(pair_slice([5, 5], [80.0, 20.0]))
+        # the incumbent equals the all-zero start; the local start differs
+        _joint_refine(work, np.zeros((2, 2)))
+        assert len(starts) == 2
+        assert len(set(starts)) == 2
+        starts.clear()
+        _joint_refine(work, np.array([[0.2, 0.1], [0.0, 0.3]]))
+        assert len(starts) == 3
+        assert len(set(starts)) == 3
+
+
 def assert_best_whole_unit_split(split, value, tables, budget, cap, step):
     """Check split against every whole-unit split within cap and budget.
 
@@ -262,7 +389,115 @@ def assert_best_whole_unit_split(split, value, tables, budget, cap, step):
     assert value == best[0]
 
 
+def reference_waterfill(tau, cap, box, lam, theta):
+    """_waterfill with its bisection always run for all 130 steps.
+
+    Also returns the step at which the price bracket could no longer be
+    split in floating point (None if that never happened in the loop).
+    """
+    full = np.zeros_like(cap)
+    active = (box > 1e-15) & (cap > RESIDUAL_FLOOR)
+    if not np.any(active) or lam <= 0:
+        return full, None
+    t = tau[active]
+    c = cap[active]
+    b = box[active]
+    if np.any(lam * b >= c):
+        raise ValueError("box leaves a destination in use no residual capacity")
+    phi0 = t + 1.0 / c
+
+    def alloc(mu):
+        inner = np.maximum(mu - t, 1e-300)
+        a = (c - np.sqrt(c / inner)) / lam
+        a = np.clip(a, 0.0, b)
+        a[mu <= phi0] = 0.0
+        return a
+
+    def feasible(mu):
+        a = alloc(mu)
+        resid = np.maximum(c - lam * a, 1e-300)
+        g = float((a * t + a / resid).sum())
+        return (a.sum() <= 1.0 + 1e-15) and (g <= theta + 1e-15), a
+
+    resid_box = c - lam * b
+    hi = float((t + c / resid_box**2).max()) * 2.0 + 1.0
+    ok_hi, a_hi = feasible(hi)
+    if ok_hi:
+        full[active] = a_hi
+        return full, None
+    lo = float(phi0.min())
+    best = np.zeros_like(c)
+    collapsed = None
+    for step in range(130):
+        mid = math.sqrt(lo * hi)
+        if collapsed is None and not lo < mid < hi:
+            collapsed = step
+        good, a = feasible(mid)
+        if good:
+            lo, best = mid, a
+        else:
+            hi = mid
+    best[best < 1e-12] = 0.0
+    full[active] = best
+    return full, collapsed
+
+
+@st.composite
+def waterfill_inputs(draw):
+    """Inputs inside _waterfill's contract: lam * box < cap where cap > floor.
+
+    Some destinations are idle (no box or no capacity), and some boxes sit
+    one float below saturation.
+    """
+    n = draw(st.integers(1, 4))
+    lam = draw(st.floats(0.5, 120.0))
+    theta = draw(st.floats(0.01, 0.3))
+    tau = np.array([draw(st.sampled_from([0.0, 0.005, 0.02, 0.06])) for _ in range(n)])
+    cap = np.array([draw(st.floats(1.0, 200.0)) for _ in range(n)])
+    box = np.zeros(n)
+    for m in range(n):
+        kind = draw(st.sampled_from(["spent", "idle", "share", "share", "edge"]))
+        if kind == "spent":
+            # at or below the residual floor: inactive whatever its box
+            cap[m] = draw(st.sampled_from([-3.0, 0.0, 5e-7]))
+            box[m] = draw(st.sampled_from([0.0, 0.5]))
+            continue
+        if kind == "idle":
+            continue
+        limit = cap[m] / lam
+        if kind == "edge" and limit <= 1.0:
+            b = limit
+        else:
+            b = draw(st.floats(0.01, 1.0)) * min(1.0, limit)
+        while lam * b >= cap[m]:
+            b = np.nextafter(b, 0.0)
+        box[m] = b
+    return tau, cap, box, lam, theta
+
+
+EARLY_RETURN = (np.array([0.0, 0.02]), np.array([50.0, 40.0]), np.array([0.1, 0.1]), 10.0, 0.1)
+SCARCE_PAIR = (np.array([0.0, 0.02]), np.array([20.0, 15.0]), np.array([0.3, 0.2]), 60.0, 0.1)
+
+
 class TestWaterfill:
+    @settings(max_examples=400, deadline=None)
+    @given(waterfill_inputs())
+    @example(EARLY_RETURN)
+    @example(SCARCE_PAIR)
+    def test_matches_reference_bisection(self, args):
+        ref, _ = reference_waterfill(*args)
+        assert _waterfill(*args).tobytes() == ref.tobytes()
+
+    def test_early_collapse_keeps_every_bit(self):
+        _, collapsed = reference_waterfill(*EARLY_RETURN)
+        assert collapsed is None  # hi was feasible: no bisection ran
+        ref, collapsed = reference_waterfill(*SCARCE_PAIR)
+        # the bracket is two adjacent floats long before step 130
+        assert collapsed is not None and collapsed < 100
+        out = _waterfill(*SCARCE_PAIR)
+        assert 0.0 < out.sum() < 1.0
+        assert out.tobytes() == ref.tobytes()
+
     def test_box_without_residual_rejected(self):
         tau = np.full(3, 0.01)
         cap = np.array([20.0, 30.0, 40.0])

@@ -1,11 +1,16 @@
 """Print one sha256 per run over a fixed set of episodes and games.
 
-Run it in two checkouts and diff the outputs: identical lines mean that
-every report, agreement, welfare value and core-check result came out
-byte for byte the same.
+Identical lines in two checkouts mean that every report, agreement,
+welfare value and core-check result came out byte for byte the same.
 
     python3 tools/same_output.py > after.txt
     python3 tools/same_output.py episodes > part.txt   # one part only
+    python3 tools/same_output.py --against HEAD~1 games
+
+``--against REV`` extracts REV with ``git archive`` into a temporary
+directory and runs this same script there and here, side by side, on the
+same parts.  It prints every label whose digest differs (or that only one
+side produced) and exits 1 on any difference, 0 when all lines match.
 
 Parts (all by default, in this order):
 
@@ -24,9 +29,14 @@ The configs and games come from ``tests/test_acceptance.py`` and
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import io
 import os
+import shutil
+import subprocess
 import sys
+import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -118,12 +128,7 @@ def game_digest(g) -> str:
     return h.hexdigest()
 
 
-def main(argv: list[str]) -> int:
-    parts = argv or list(PARTS)
-    unknown = [p for p in parts if p not in PARTS]
-    if unknown:
-        print(f"unknown part(s) {unknown}; choose from {PARTS}", file=sys.stderr)
-        return 1
+def run_parts(parts: list[str]) -> None:
     with tempfile.TemporaryDirectory() as scratch:
         if "episodes" in parts:
             for label, cfg in episode_configs():
@@ -134,6 +139,54 @@ def main(argv: list[str]) -> int:
     if "games" in parts:
         for idx, (family, g, _) in enumerate(workloads.audit_instances()):
             print(f"game/{idx:03d}/{family}", game_digest(g), flush=True)
+
+
+def _digests(path: str) -> dict[str, str]:
+    with open(path) as fh:
+        return dict(line.rstrip("\n").split(" ", 1) for line in fh if line.strip())
+
+
+def compare_against(rev: str, parts: list[str]) -> int:
+    """Run the parts here and in a ``git archive`` of rev; 1 on any difference."""
+    archive = subprocess.run(
+        ["git", "-C", ROOT, "archive", "--format=tar", rev], stdout=subprocess.PIPE, check=True
+    ).stdout
+    with tempfile.TemporaryDirectory() as other:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(other, filter="data")
+        os.makedirs(os.path.join(other, "tools"), exist_ok=True)
+        there = os.path.join(other, "tools", os.path.basename(__file__))
+        shutil.copyfile(os.path.abspath(__file__), there)
+        # both sides at once, one process each, each writing to its own file
+        procs, outs = [], []
+        for side, script in (("there", there), ("here", os.path.abspath(__file__))):
+            outs.append(os.path.join(other, f"{side}.txt"))
+            with open(outs[-1], "w") as fh:
+                procs.append(subprocess.Popen([sys.executable, script, *parts], stdout=fh))
+        codes = [proc.wait() for proc in procs]
+        if any(codes):
+            print(f"a run failed (exit codes {codes})", file=sys.stderr)
+            return 1
+        base, head = (_digests(out) for out in outs)
+    differ = [label for label in {**base, **head} if base.get(label) != head.get(label)]
+    for label in differ:
+        print(f"differs: {label}")
+    print(f"{len(base)} lines at {rev}, {len(head)} here, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+def main(argv: list[str]) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parts", nargs="*", metavar="PART", help=f"any of {PARTS}; default all")
+    p.add_argument("--against", metavar="REV", help="compare with this git revision")
+    args = p.parse_args(argv)
+    unknown = [part for part in args.parts if part not in PARTS]
+    if unknown:
+        p.error(f"unknown part(s) {unknown}; choose from {PARTS}")
+    parts = args.parts or list(PARTS)
+    if args.against:
+        return compare_against(args.against, parts)
+    run_parts(parts)
     return 0
 
 
