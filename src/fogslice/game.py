@@ -519,7 +519,12 @@ def _joint_constraints(work: _SliceWork):
     x covers the allowed (sender, destination) pairs whose destination has
     capacity.  ``ineq(x)`` stacks every inequality in one vector: each
     destination's capacity (in ``set`` order), then each sender's row total
-    and deadline.
+    and deadline.  ``ineq_jac(x)`` is its exact Jacobian, rows in the same
+    order.  The capacity and row-total rows are constant (-lam_j on each
+    entry (j, m), -1 on each entry (i, .)).  The deadline row of sender i
+    has, on entry p = (j, m), -[j == i](tau_im + 1/r_m) - a_im lam_j / r_m^2
+    with r_m = c_m - sum_j a_jm lam_j; where ``ineq`` clamps r_m at 1e-9
+    the second term is 0, so the Jacobian is that of the clamped function.
     """
     usable = work.allowed & (work.caps > RESIDUAL_FLOOR) & (work.lam > 0)[:, None]
     rows, cols = np.nonzero(usable)
@@ -527,19 +532,37 @@ def _joint_constraints(work: _SliceWork):
         (work.caps[m] - RESIDUAL_FLOOR, work.lam[rows[cols == m]], np.flatnonzero(cols == m))
         for m in set(cols.tolist())
     ]
-    sender_idx = [(i, np.flatnonzero(rows == i)) for i in work.senders]
+    senders = np.array(work.senders, dtype=int)
+    # own[s, p]: entry p lies in the row of sender s
+    k, own = len(cap_terms), rows == senders[:, None]
+    jac0 = np.zeros((k + 2 * senders.size, rows.size))  # deadline rows filled per call
+    for r, (_, lam_m, idx) in enumerate(cap_terms):
+        jac0[r, idx] = -lam_m
+    jac0[k::2][own] = -1.0
+    tau_s, tau_p, lam_p = work.tau[senders], work.tau[rows, cols], work.lam[rows]
 
-    def ineq(x):
+    def unpack(x):
         a = np.zeros((work.n, work.n))
         a[rows, cols] = x
-        resid = np.maximum(work.caps - a.T @ work.lam, 1e-9)
-        out = [cap_m - np.dot(lam_m, x[idx]) for cap_m, lam_m, idx in cap_terms]
-        for i, idx in sender_idx:
-            out.append(1.0 - float(np.sum(x[idx])))
-            out.append(work.theta - float(np.sum(a[i] * (work.tau[i] + 1.0 / resid))))
-        return np.array(out)
+        raw = work.caps - a.T @ work.lam
+        return a[senders], np.maximum(raw, 1e-9), raw
 
-    return rows, cols, ineq
+    def ineq(x):
+        a, resid, _ = unpack(x)
+        out = np.empty(jac0.shape[0])
+        out[:k] = [cap_m - np.dot(lam_m, x[idx]) for cap_m, lam_m, idx in cap_terms]
+        out[k::2] = 1.0 - a.sum(axis=1)
+        out[k + 1 :: 2] = work.theta - np.sum(a * (tau_s + 1.0 / resid), axis=1)
+        return out
+
+    def ineq_jac(x):
+        a, resid, raw = unpack(x)
+        slope = np.where(raw > 1e-9, 1.0 / resid**2, 0.0)
+        jac = jac0.copy()
+        jac[k + 1 :: 2] = -(own * (tau_p + 1.0 / resid[cols]) + a[:, cols] * (lam_p * slope[cols]))
+        return jac
+
+    return rows, cols, ineq, ineq_jac
 
 
 def _joint_refine(work: _SliceWork, alpha: np.ndarray) -> np.ndarray:
@@ -547,18 +570,19 @@ def _joint_refine(work: _SliceWork, alpha: np.ndarray) -> np.ndarray:
 
     The coupled deadline constraints make the problem non-convex, so a few
     deterministic starts are tried, each distinct one once, and the
-    incumbent always survives.  The constraints form one vector function,
-    so SLSQP's finite differences cost one call per gradient, not one per
-    constraint; the step depends only on x and the bounds, so the Jacobian
-    rows are those separate functions would give.
+    incumbent always survives.  SLSQP gets the exact objective gradient
+    (the constant -lam of each entry's sender) and the exact Jacobian of
+    the stacked constraints from ``_joint_constraints``, so it never
+    differences anything.
     """
     from scipy.optimize import minimize
 
-    rows, cols, ineq = _joint_constraints(work)
+    rows, cols, ineq, ineq_jac = _joint_constraints(work)
     if not rows.size:
         return alpha
     lam_of = work.lam[rows]
     obj = lambda x: -float(np.dot(lam_of, x))
+    obj_jac = lambda x: -lam_of
     upper = np.minimum(1.0, (work.caps[cols] - RESIDUAL_FLOOR) / lam_of)
 
     def local_start():
@@ -586,9 +610,10 @@ def _joint_refine(work: _SliceWork, alpha: np.ndarray) -> np.ndarray:
             res = minimize(
                 obj,
                 x0,
+                jac=obj_jac,
                 method="SLSQP",
                 bounds=[(0.0, u) for u in upper],
-                constraints=[{"type": "ineq", "fun": ineq}],
+                constraints=[{"type": "ineq", "fun": ineq, "jac": ineq_jac}],
                 options={"maxiter": 300, "ftol": 1e-12},
             )
         cand = np.zeros((work.n, work.n))

@@ -6,15 +6,17 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize._numdiff import approx_derivative
 
 from fogslice.game import (
+    FEAS_TOL,
     RESIDUAL_FLOOR,
     CoreOptions,
     GameInstance,
     SliceInstance,
+    _ascent,
     _best_split,
     _joint_constraints,
     _joint_refine,
@@ -317,12 +319,10 @@ def reference_constraints(work):
 class TestJointRefine:
     def test_stacked_constraints_match_reference(self):
         rng = np.random.default_rng(6)
-        # SLSQP's default finite-difference step
-        eps = math.sqrt(np.finfo(float).eps)
         checked = 0
         for _ in range(60):
             work = _SliceWork(mesh_slice(rng, int(rng.integers(2, 5))))
-            rows, cols, ineq = _joint_constraints(work)
+            rows, cols, ineq, ineq_jac = _joint_constraints(work)
             pairs, funs = reference_constraints(work)
             assert list(zip(rows.tolist(), cols.tolist())) == pairs
             if not pairs:
@@ -332,20 +332,69 @@ class TestJointRefine:
                 x = rng.uniform(0.0, 1.0, len(pairs)) * upper * (rng.random(len(pairs)) < 0.8)
                 ref = np.concatenate([np.atleast_1d(f(x)).ravel() for f in funs])
                 assert ineq(x).tobytes() == ref.tobytes()
-                # SLSQP's Jacobian: one stacked call gives the rows of the separate ones
-                bounds = (np.zeros(len(pairs)), upper)
-                jac = approx_derivative(ineq, x, method="2-point", abs_step=eps, bounds=bounds)
-                ref_jac = np.vstack(
-                    [
-                        np.atleast_2d(
-                            approx_derivative(f, x, method="2-point", abs_step=eps, bounds=bounds)
-                        )
-                        for f in funs
-                    ]
-                )
-                assert jac.tobytes() == ref_jac.tobytes()
+                # SLSQP no longer differences ineq; the analytic rows stand in
+                # for it.  The step is small against the residuals drawn here,
+                # and each row is compared on its own scale: a destination
+                # clamped at 1e-9 puts a 1e9 term into its senders' deadlines.
+                num = approx_derivative(ineq, x, method="3-point", abs_step=1e-6)
+                scale = np.abs(num).max(axis=1, keepdims=True)
+                assert np.all(np.abs(ineq_jac(x) - num) <= 1e-6 * scale)
                 checked += 1
         assert checked >= 100
+
+    @settings(max_examples=250, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 4),
+        st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=16, max_size=16),
+    )
+    @example(13, 2, [1.0] * 16)  # destination 0 clamped, destination 1 not
+    def test_analytic_jacobian_matches_differences(self, seed, n, shares):
+        work = _SliceWork(mesh_slice(np.random.default_rng(seed), n))
+        rows, cols, ineq, ineq_jac = _joint_constraints(work)
+        assume(rows.size)
+        # a point in SLSQP's box; entries at their bounds on a shared
+        # destination push its residual below the 1e-9 clamp
+        upper = np.minimum(1.0, (work.caps[cols] - RESIDUAL_FLOOR) / work.lam[rows])
+        x = np.array(shares[: rows.size]) * upper
+        a = np.zeros((n, n))
+        a[rows, cols] = x
+        raw = work.caps - a.T @ work.lam
+        clamped = raw[cols] < 1e-9
+        event("some destination clamped" if clamped.any() else "no destination clamped")
+        jac = ineq_jac(x)
+        senders = np.array(work.senders)
+        k = jac.shape[0] - 2 * senders.size
+        deadline = jac[k + 1 :: 2]
+        own = rows == senders[:, None]
+        # on a clamped destination only the sender's own share moves its deadline
+        assert np.all(deadline[~own & clamped] == 0.0)
+        own_entry = np.broadcast_to(-(work.tau[rows, cols] + 1.0 / 1e-9), own.shape)
+        assert np.array_equal(deadline[own & clamped], own_entry[own & clamped])
+        # central differences, on the entries whose destination stays on one
+        # side of the clamp within the step and is far enough from saturation
+        # that the truncation error, about (lam * h / r)^2, is negligible
+        h = 1e-7
+        step = work.lam[rows] * h
+        smooth = (raw[cols] - 1e-9 > 1e4 * step) | (raw[cols] < 1e-9 - 2 * step)
+        num = approx_derivative(ineq, x, method="3-point", abs_step=h)
+        np.testing.assert_allclose(jac[:k], num[:k], rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(jac[k::2], num[k::2], rtol=1e-6, atol=1e-6)
+        # a difference's roundoff is a few ulps of the row's summed terms over h
+        resid = np.maximum(raw, 1e-9)
+        terms = work.theta + np.sum(a[senders] * (work.tau[senders] + 1.0 / resid), axis=1)
+        allowed_err = 1e-6 * np.abs(deadline) + 8 * np.finfo(float).eps * terms[:, None] / h
+        assert np.all(np.abs(deadline - num[k + 1 :: 2])[:, smooth] <= allowed_err[:, smooth])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
+    def test_never_below_incumbent_and_feasible(self, seed, n):
+        work = _SliceWork(mesh_slice(np.random.default_rng(seed), n))
+        incumbent = np.zeros((n, n))
+        _ascent(work, incumbent)
+        out = _joint_refine(work, incumbent.copy())
+        assert work.max_violation(out) <= FEAS_TOL
+        assert work.welfare(out) >= work.welfare(incumbent)
 
     def test_each_distinct_start_solved_once(self, monkeypatch):
         starts = []

@@ -1,7 +1,10 @@
-"""Print one sha256 per run over a fixed set of episodes and games.
+"""Print one sha256 and the welfare per run over a fixed set of episodes and games.
 
-Identical lines in two checkouts mean that every report, agreement,
-welfare value and core-check result came out byte for byte the same.
+Each line is ``label digest welfare...``: an episode's total welfare, or a
+game's welfare on the default path and then on the heuristic path, each
+printed with ``repr``.  Identical digests in two checkouts mean that every
+report, agreement, welfare value and core-check result came out byte for
+byte the same.
 
     python3 tools/same_output.py > after.txt
     python3 tools/same_output.py episodes > part.txt   # one part only
@@ -10,7 +13,10 @@ welfare value and core-check result came out byte for byte the same.
 ``--against REV`` extracts REV with ``git archive`` into a temporary
 directory and runs this same script there and here, side by side, on the
 same parts.  It prints every label whose digest differs (or that only one
-side produced) and exits 1 on any difference, 0 when all lines match.
+side produced), with both sides' welfare and its relative change, and
+exits 1 on any difference, 0 when all digests match.  A last line counts
+the welfare figures (one per episode, two per game) that rose, fell or
+stayed equal, and names the worst relative fall.
 
 Parts (all by default, in this order):
 
@@ -32,6 +38,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import io
+import math
 import os
 import shutil
 import subprocess
@@ -88,13 +95,15 @@ def episode_configs():
 
 
 def report_digest(cfg: dict, scratch: str) -> str:
-    csv_path, json_path = engine.emit_report(engine.run_episode(cfg), scratch)
+    """Digest of the episode's report, then its total welfare."""
+    result = engine.run_episode(cfg)
+    csv_path, json_path = engine.emit_report(result, scratch)
     h = hashlib.sha256()
     for path in (csv_path, json_path):
         with open(path, "rb") as fh:
             h.update(fh.read())
         h.update(b"\0")
-    return h.hexdigest()
+    return f"{h.hexdigest()} {result.total_welfare()!r}"
 
 
 def _arrays(h, *arrays):
@@ -105,6 +114,7 @@ def _arrays(h, *arrays):
 
 
 def game_digest(g) -> str:
+    """Digest of both paths' results and the core check, then both welfares."""
     h = hashlib.sha256()
     state = model.SlotState(
         battery=g.budgets.astype(float),
@@ -125,7 +135,7 @@ def game_digest(g) -> str:
     if dev is not None:
         h.update(repr(dev.members).encode())
         _arrays(h, dev.energy, *dev.alphas, dev.rewards)
-    return h.hexdigest()
+    return f"{h.hexdigest()} {default.welfare!r} {heuristic.welfare!r}"
 
 
 def run_parts(parts: list[str]) -> None:
@@ -141,9 +151,21 @@ def run_parts(parts: list[str]) -> None:
             print(f"game/{idx:03d}/{family}", game_digest(g), flush=True)
 
 
-def _digests(path: str) -> dict[str, str]:
+def _lines(path: str) -> dict[str, tuple[str, list[float]]]:
+    """label -> (digest, welfare figures) for each line of a run's output."""
+    out = {}
     with open(path) as fh:
-        return dict(line.rstrip("\n").split(" ", 1) for line in fh if line.strip())
+        for line in fh:
+            if line.strip():
+                label, digest, *welfare = line.split()
+                out[label] = (digest, [float(w) for w in welfare])
+    return out
+
+
+def _relative(old: float, new: float) -> float:
+    if old == new:
+        return 0.0
+    return (new - old) / abs(old) if old else math.copysign(math.inf, new - old)
 
 
 def compare_against(rev: str, parts: list[str]) -> int:
@@ -167,11 +189,28 @@ def compare_against(rev: str, parts: list[str]) -> int:
         if any(codes):
             print(f"a run failed (exit codes {codes})", file=sys.stderr)
             return 1
-        base, head = (_digests(out) for out in outs)
-    differ = [label for label in {**base, **head} if base.get(label) != head.get(label)]
+        base, head = (_lines(out) for out in outs)
+    missing = ("", [])
+    differ = [
+        label for label in {**base, **head} if base.get(label, missing)[0] != head.get(label, missing)[0]
+    ]
     for label in differ:
-        print(f"differs: {label}")
+        old, new = base.get(label, missing)[1], head.get(label, missing)[1]
+        moves = ", ".join(f"{o!r} -> {n!r} ({_relative(o, n):+.3g})" for o, n in zip(old, new))
+        print(f"differs: {label} welfare {moves or 'only on one side'}")
     print(f"{len(base)} lines at {rev}, {len(head)} here, {len(differ)} differ")
+    changes = [
+        (_relative(o, n), label)
+        for label in base.keys() & head.keys()
+        for o, n in zip(base[label][1], head[label][1])
+    ]
+    rose = sum(rel > 0 for rel, _ in changes)
+    fell = sorted(change for change in changes if change[0] < 0)
+    worst = f"{fell[0][0]:+.3g} at {fell[0][1]}" if fell else "none"
+    print(
+        f"welfare figures: {rose} rose, {len(fell)} fell, "
+        f"{len(changes) - rose - len(fell)} equal; worst relative fall {worst}"
+    )
     return 1 if differ else 0
 
 
