@@ -254,7 +254,6 @@ POLISH_MAX_NODES = 8
 @dataclass(frozen=True)
 class OffloadSolution:
     alpha: np.ndarray
-    response_times: np.ndarray
     welfare: float
     passes: int
     converged: bool
@@ -666,11 +665,8 @@ def solve_offload(instance: SliceInstance) -> OffloadSolution:
     if work.n <= POLISH_MAX_NODES:
         _polish_priority(work, alpha)
     alpha[alpha < 1e-12] = 0.0
-    pis = response_times(alpha, work.lam, work.caps, work.tau)
-    pis = np.where(alpha.sum(axis=1) > 0, pis, 0.0)
     return OffloadSolution(
         alpha=alpha,
-        response_times=pis,
         welfare=instance.service.reward * work.welfare(alpha),
         passes=passes,
         converged=converged,
@@ -981,10 +977,11 @@ def solve_social_welfare(game: GameInstance, options: SolverOptions | None = Non
 # Conservative core check by bounded enumeration.
 
 
-# Coalitions of up to CORE_MAX_SIZE nodes are searched, within CORE_MAX_CHECKS
-# grid leaves in all.  A deviation must beat the standing reward by more than
-# STRICT_EPS, the offload solver's own convergence tolerance, or it is
-# numerical noise.
+# Coalitions of up to CORE_MAX_SIZE nodes with no fully served member are
+# searched.  CORE_MAX_CHECKS caps the grid leaves checked over all of them; a
+# leaf is one row bundle per member, checked against every deadline.  A
+# deviation must beat the standing reward by more than STRICT_EPS, the offload
+# solver's own convergence tolerance, or it is numerical noise.
 CORE_MAX_SIZE = 4
 CORE_MAX_CHECKS = 2_000_000
 STRICT_EPS = 1e-6
@@ -1022,41 +1019,6 @@ def lone_sender_share(tau: np.ndarray, cap: np.ndarray, lam: float, theta: float
     return float(_waterfill(tau, cap, box, lam, theta).sum())
 
 
-def _member_upper_bound(game: GameInstance, members: tuple[int, ...], i_local: int) -> float:
-    """Optimistic payoff of one member inside a deviating coalition.
-
-    Every other member's full budget is assumed available to every service
-    at once with no competing load; a genuine upper bound on anything the
-    coalition can actually arrange.
-    """
-    net = game.network
-    i = members[i_local]
-    total = 0.0
-    for k, svc in enumerate(net.services):
-        lam = float(game.arrivals[i, k])
-        if lam <= 0:
-            continue
-        dests = [
-            m
-            for m in members
-            if m == i or (m in net.neighbors[i] and net.rtt[i, m] < svc.deadline)
-        ]
-        cap = np.array(
-            [
-                capacity(
-                    svc.unit_rate * net.nodes[m].rate_factor,
-                    int(game.budgets[m]),
-                    net.nodes[m].unit_energy,
-                )
-                for m in dests
-            ],
-            dtype=float,
-        )
-        tau = np.array([net.rtt[i, m] for m in dests])
-        total += svc.reward * lam * lone_sender_share(tau, cap, lam, svc.deadline)
-    return total
-
-
 def _grid_rows(lam, caps, tau_row, dest_idx, grid, theta):
     """Candidate allocation rows on the grid for one sender and service.
 
@@ -1090,11 +1052,15 @@ def check_core(
 ) -> CoreResult:
     """Search for a coalition whose members all strictly beat their payoff.
 
-    Deviating coalitions are conservative: they keep only their own members'
-    energy and workload and re-split on integer units, with offload
-    fractions restricted to the grid.  Subsets up to ``CORE_MAX_SIZE`` nodes
-    are enumerated; exceeding the check budget truncates the search for that
-    subset size and is reported rather than certified.
+    Every coalition of up to ``CORE_MAX_SIZE`` nodes that contains no fully
+    served member (one already paid for all of its workload) is searched,
+    smallest first.  Deviating coalitions are conservative: they keep only
+    their own members' energy and workload and re-split on integer units,
+    with offload fractions restricted to the grid.  The first grid leaf, one
+    row bundle per member, that meets every deadline is the deviation.  Each
+    leaf checked spends one unit of ``CORE_MAX_CHECKS``; once the budget is
+    spent the search stops and reports the coalition size it stopped at
+    rather than certifying.
     """
     opt = options or CoreOptions()
     net = game.network
@@ -1114,12 +1080,6 @@ def check_core(
             checked += 1
             if any(current[i] >= full_service[i] - STRICT_EPS for i in members):
                 continue
-            bounds_ok = all(
-                _member_upper_bound(game, members, li) > current[m] + STRICT_EPS
-                for li, m in enumerate(members)
-            )
-            if not bounds_ok:
-                continue
             found, spent = _search_subset(game, members, current, opt.grid, budget_left)
             budget_left -= spent
             if found is not None:
@@ -1131,7 +1091,11 @@ def check_core(
 
 
 def _search_subset(game, members, current, grid: float, budget: int):
-    """Grid search one subset for an all-strict-gain agreement."""
+    """Grid search one subset for an all-strict-gain agreement.
+
+    Returns the first deviation found, or None, and the leaves checked,
+    stopping once ``budget`` leaves are checked.
+    """
     net = game.network
     k_n = net.n_services
     size = len(members)
@@ -1139,6 +1103,8 @@ def _search_subset(game, members, current, grid: float, budget: int):
     dest_sets = [
         [local[m] for m in members if m == i or m in net.neighbors[i]] for i in members
     ]
+    lam = np.array([[game.arrivals[m, k] for k in range(k_n)] for m in members])
+    rtt = net.rtt[np.ix_(members, members)]
     split_sets = []
     for m in members:
         nd = net.nodes[m]
@@ -1166,18 +1132,21 @@ def _search_subset(game, members, current, grid: float, budget: int):
                 caps[li, k] = capacity(
                     net.services[k].unit_rate * nd.rate_factor, split_combo[li][k], nd.unit_energy
                 )
-        # candidate row bundles per member: joint rows over services, with
-        # the member's total payoff, kept only if strictly above current
+        # candidate row bundles per member: joint rows over services, kept
+        # only if the member's total payoff is strictly above current, best first
         bundles = []
-        feasible_subset = True
         for li, m in enumerate(members):
             dests = dest_sets[li]
             per_service_rows = []
             for k in range(k_n):
-                lam = float(game.arrivals[m, k])
                 tau_row = [net.rtt[m, members[d]] for d in dests]
                 rows = _grid_rows(
-                    lam, [caps[d, k] for d in dests], tau_row, dests, grid, net.services[k].deadline
+                    float(lam[li, k]),
+                    [caps[d, k] for d in dests],
+                    tau_row,
+                    dests,
+                    grid,
+                    net.services[k].deadline,
                 )
                 per_service_rows.append(rows)
             combos = []
@@ -1191,75 +1160,49 @@ def _search_subset(game, members, current, grid: float, budget: int):
                 if reward > current[m] + STRICT_EPS:
                     combos.append((reward, combo))
             if not combos:
-                feasible_subset = False
                 break
             combos.sort(key=lambda rc: -rc[0])
-            bundles.append(combos)
-        if not feasible_subset:
-            continue
-
-        found = _dfs_rows(game, members, dest_sets, caps, bundles, grid, spent, budget)
-        spent = found[1]
-        if found[0] is not None:
-            split_energy = np.array(split_combo, dtype=int)
-            return (
-                Deviation(
+            bundles.append([combo for _, combo in combos])
+        if len(bundles) < size:
+            continue  # some member cannot gain on these splits
+        for chosen in itertools.product(*bundles):
+            spent += 1
+            leaf = _grid_leaf(net, lam, rtt, dest_sets, caps, chosen, grid)
+            if leaf is not None:
+                deviation = Deviation(
                     members=members,
-                    energy=split_energy,
-                    alphas=found[0][0],
-                    rewards=found[0][1],
-                ),
-                spent,
-            )
-        if spent >= budget:
-            return None, spent
+                    energy=np.array(split_combo, dtype=int),
+                    alphas=leaf[0],
+                    rewards=leaf[1],
+                )
+                return deviation, spent
+            if spent >= budget:
+                return None, spent
     return None, spent
 
 
-def _dfs_rows(game, members, dest_sets, caps, bundles, grid, spent, budget):
-    net = game.network
+def _grid_leaf(net, lam, rtt, dest_sets, caps, chosen, grid):
+    """Offload matrices and member rewards of one row bundle per member.
+
+    None unless every sender of every service meets its deadline.
+    """
     k_n = net.n_services
-    size = len(members)
-    lam = np.array([[game.arrivals[m, k] for k in range(k_n)] for m in members])
-    rtt = net.rtt[np.ix_(members, members)]
-    chosen: list = [None] * size
-
-    def feasible_leaf():
-        alphas = []
-        for k in range(k_n):
-            alpha = np.zeros((size, size))
-            for li in range(size):
-                for d, dest in enumerate(dest_sets[li]):
-                    alpha[li, dest] = chosen[li][k][d] * grid
-            pis = response_times(alpha, lam[:, k], caps[:, k], rtt)
-            senders = alpha.sum(axis=1) > 0
-            if np.any(pis[senders] > net.services[k].deadline + FEAS_TOL):
-                return None
-            alphas.append(alpha)
-        rewards = np.array(
-            [
-                sum(
-                    net.services[k].reward * lam[li, k] * alphas[k][li].sum()
-                    for k in range(k_n)
-                )
-                for li in range(size)
-            ]
-        )
-        return tuple(alphas), rewards
-
-    def rec(li, spent):
-        if spent >= budget:
-            return None, spent
-        if li == size:
-            leaf = feasible_leaf()
-            return (leaf, spent + 1) if leaf is not None else (None, spent + 1)
-        for reward, combo in bundles[li]:
-            chosen[li] = combo
-            result, spent = rec(li + 1, spent + 1)
-            if result is not None or spent >= budget:
-                chosen[li] = None
-                return result, spent
-        chosen[li] = None
-        return None, spent
-
-    return rec(0, spent)
+    size = len(dest_sets)
+    alphas = []
+    for k in range(k_n):
+        alpha = np.zeros((size, size))
+        for li in range(size):
+            for d, dest in enumerate(dest_sets[li]):
+                alpha[li, dest] = chosen[li][k][d] * grid
+        pis = response_times(alpha, lam[:, k], caps[:, k], rtt)
+        senders = alpha.sum(axis=1) > 0
+        if np.any(pis[senders] > net.services[k].deadline + FEAS_TOL):
+            return None
+        alphas.append(alpha)
+    rewards = np.array(
+        [
+            sum(net.services[k].reward * lam[li, k] * alphas[k][li].sum() for k in range(k_n))
+            for li in range(size)
+        ]
+    )
+    return tuple(alphas), rewards

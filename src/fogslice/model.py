@@ -230,7 +230,6 @@ def validate_agreement(
     network: NetworkSpec,
     state: SlotState,
     agreement: SlicingAgreement,
-    tol: float = TOL,
 ) -> list[Violation]:
     """Check an agreement against every per-slot constraint.
 
@@ -270,7 +269,7 @@ def validate_agreement(
             s = int(np.argmin(energy[i]))
             violations.append(Violation("energy_budget", i, s, f"e={energy[i, s]} < 0"))
         used = int(energy[i].sum())
-        if used > state.battery[i] + tol:
+        if used > state.battery[i] + TOL:
             violations.append(
                 Violation("energy_budget", i, None, f"committed {used} > battery {state.battery[i]}")
             )
@@ -286,10 +285,10 @@ def validate_agreement(
         theta = network.services[s].deadline
         for i in range(n):
             row = alpha[i]
-            if np.any(row < -tol):
+            if np.any(row < -TOL):
                 violations.append(Violation("allocation", i, s, "negative offload fraction"))
             allowed = network.neighbors[i] | {i}
-            stray = [m for m in range(n) if m not in allowed and abs(row[m]) > tol]
+            stray = [m for m in range(n) if m not in allowed and abs(row[m]) > TOL]
             if stray:
                 violations.append(
                     Violation("allocation", i, s, f"offload outside forwarding graph: {stray}")
@@ -297,17 +296,17 @@ def validate_agreement(
             # A request forwarded over an edge whose round trip alone meets the
             # deadline is late however small its share of the mix.
             closed = [
-                m for m in sorted(allowed - {i}) if row[m] > tol and network.rtt[i, m] >= theta
+                m for m in sorted(allowed - {i}) if row[m] > TOL and network.rtt[i, m] >= theta
             ]
             if closed:
                 violations.append(
                     Violation("allocation", i, s, f"offload over edges with rtt >= deadline: {closed}")
                 )
-            if row.sum() > 1.0 + tol:
+            if row.sum() > 1.0 + TOL:
                 violations.append(Violation("allocation", i, s, f"row sum {row.sum():.6f} > 1"))
         load = alpha.T @ lam  # aggregate inbound per destination
         for m in range(n):
-            if load[m] > caps[m, s] + tol:
+            if load[m] > caps[m, s] + TOL:
                 violations.append(
                     Violation("capacity", m, s, f"load {load[m]:.6f} > capacity {caps[m, s]:.6f}")
                 )
@@ -317,11 +316,11 @@ def validate_agreement(
         theta = network.services[s].deadline
         pis = queueing.response_times(alpha, state.arrivals[:, s], caps[:, s], network.rtt)
         for i in range(n):
-            if alpha[i].sum() <= tol:
+            if alpha[i].sum() <= TOL:
                 continue
             if not np.isfinite(pis[i]):
                 violations.append(Violation("deadline", i, s, "unstable destination"))
-            elif pis[i] > theta + tol:
+            elif pis[i] > theta + TOL:
                 violations.append(
                     Violation("deadline", i, s, f"response {pis[i]:.6f} s > deadline {theta:.6f} s")
                 )

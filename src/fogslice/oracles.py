@@ -53,9 +53,7 @@ def _sender_rows(instance: SliceInstance, i: int, caps: np.ndarray, grid: float)
     return np.array(rows)
 
 
-def grid_slice_welfare(
-    instance: SliceInstance, grid: float = 0.1, return_alpha: bool = False
-):
+def grid_slice_welfare(instance: SliceInstance, grid: float = 0.1) -> float:
     """Best slice payoff over all offload matrices on the fraction grid.
 
     Enumerates the cartesian product of per-sender rows, keeping only
@@ -70,7 +68,7 @@ def grid_slice_welfare(
     rho = instance.service.reward
     senders = [i for i in range(n) if lam[i] > 0]
     if not senders:
-        return (0.0, np.zeros((n, n))) if return_alpha else 0.0
+        return 0.0
     row_sets = [_sender_rows(instance, i, caps, grid) for i in senders]
     total = 1
     for rs in row_sets:
@@ -85,7 +83,6 @@ def grid_slice_welfare(
     tau_last = instance.rtt[last]
 
     best = 0.0
-    best_alpha = np.zeros((n, n))
     for combo in itertools.product(*row_sets[:-1]):
         base = np.zeros(n)
         base_served = 0.0
@@ -118,11 +115,7 @@ def grid_slice_welfare(
         r = int(np.argmax(obj))
         if rho * obj[r] > best:
             best = rho * float(obj[r])
-            best_alpha = np.zeros((n, n))
-            for i, row in zip(senders[:-1], combo):
-                best_alpha[i] = row
-            best_alpha[last] = last_rows[r]
-    return (best, best_alpha) if return_alpha else best
+    return best
 
 
 def exhaustive_welfare(game: GameInstance, grid: float = 0.1) -> float:

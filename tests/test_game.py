@@ -13,6 +13,7 @@ from scipy.optimize._numdiff import approx_derivative
 from fogslice.game import (
     FEAS_TOL,
     RESIDUAL_FLOOR,
+    STRICT_EPS,
     CoreOptions,
     GameInstance,
     SliceInstance,
@@ -730,6 +731,186 @@ class TestSocialWelfare:
             assert validate_agreement(net, state, sol.agreement) == []
 
 
+def deviation_agreement(game, dev):
+    """A core deviation as an agreement of the whole network; non-members idle."""
+    net = game.network
+    n, k_n = net.n_nodes, net.n_services
+    idx = list(dev.members)
+    energy = np.zeros((n, k_n), dtype=int)
+    energy[idx] = dev.energy
+    offload = np.zeros((k_n, n, n))
+    for k, alpha in enumerate(dev.alphas):
+        offload[k][np.ix_(idx, idx)] = alpha
+    rho = np.array([svc.reward for svc in net.services])
+    rewards = rho * game.arrivals * offload.sum(axis=2).T
+    return SlicingAgreement(energy=energy, offload=offload, rewards=rewards)
+
+
+def budget_state(game):
+    return SlotState(
+        battery=game.budgets.astype(float),
+        arrivals=game.arrivals,
+        harvested_prev=np.zeros(game.network.n_nodes),
+    )
+
+
+def two_service_pair_game():
+    """Two nodes, each with workload of its own service only; 2 units each."""
+    services = (
+        make_service(deadline=0.1, unit_rate=10.0, name="a"),
+        make_service(deadline=0.1, unit_rate=10.0, name="b"),
+    )
+    net = make_network(
+        services=services, nodes=(make_node(max_units=1), make_node(max_units=1)), tau=0.02
+    )
+    return GameInstance(
+        network=net, arrivals=np.array([[15.0, 0.0], [0.0, 15.0]]), budgets=np.array([2, 2])
+    )
+
+
+def own_service_alone_agreement():
+    """Each node serves 0.4 of its own service on one unit, the most in time."""
+    offload = np.zeros((2, 2, 2))
+    offload[0, 0, 0] = 0.4
+    offload[1, 1, 1] = 0.4
+    return SlicingAgreement(
+        energy=np.array([[1, 0], [0, 1]]),
+        offload=offload,
+        rewards=np.array([[6.0, 0.0], [0.0, 6.0]]),
+    )
+
+
+def ref_slice_options(game, members, k, units, grid):
+    """(member payoffs, rows) of every grid offload of service k that meets the deadline.
+
+    Brute force inside the coalition: member li activates units[li] whole
+    units for service k; rows[li][d] counts grid steps of member li's
+    workload sent to members[d].  Capacity and delay are derived here: a
+    destination of load L and capacity c delays each request 1/(c - L),
+    and a sender's time is sum_d share_d * (rtt_d + 1/(c_d - L_d)).
+    """
+    net = game.network
+    svc = net.services[k]
+    steps = round(1.0 / grid)
+    size = len(members)
+    lam = [float(game.arrivals[m, k]) for m in members]
+    caps = [svc.unit_rate * net.nodes[m].rate_factor * units[li] for li, m in enumerate(members)]
+    row_sets = []
+    for li, m in enumerate(members):
+        free = [d for d, dest in enumerate(members) if dest == m or dest in net.neighbors[m]]
+        rows = []
+        for shares in itertools.product(range(steps + 1), repeat=len(free)):
+            if sum(shares) <= steps and (lam[li] > 0 or not any(shares)):
+                row = [0] * size
+                for d, units_d in zip(free, shares):
+                    row[d] = units_d
+                rows.append(tuple(row))
+        row_sets.append(rows)
+    options = []
+    for rows in itertools.product(*row_sets):
+        load = [sum(rows[j][d] * grid * lam[j] for j in range(size)) for d in range(size)]
+        ok = True
+        for li, m in enumerate(members):
+            delay = 0.0
+            for d, dest in enumerate(members):
+                if rows[li][d] == 0:
+                    continue
+                if caps[d] - load[d] <= FEAS_TOL:
+                    ok = False
+                    break
+                delay += rows[li][d] * grid * (net.rtt[m, dest] + 1.0 / (caps[d] - load[d]))
+            if not ok or delay > svc.deadline + FEAS_TOL:
+                ok = False
+                break
+        if ok:
+            payoffs = tuple(svc.reward * lam[li] * sum(rows[li]) * grid for li in range(size))
+            options.append((payoffs, rows))
+    return options
+
+
+def ref_unit_splits(game, m):
+    """Every whole-unit split of node m's budget over the services."""
+    node = game.network.nodes[m]
+    k_n = game.network.n_services
+    top = min(node.max_units, int(game.budgets[m]) // node.unit_energy)
+    return [
+        s
+        for s in itertools.product(range(top + 1), repeat=k_n)
+        if sum(s) * node.unit_energy <= game.budgets[m]
+    ]
+
+
+def ref_local_play(game, grid):
+    """Each node's best grid-feasible play alone, as one agreement."""
+    net = game.network
+    n, k_n = net.n_nodes, net.n_services
+    energy = np.zeros((n, k_n), dtype=int)
+    offload = np.zeros((k_n, n, n))
+    rewards = np.zeros((n, k_n))
+    for m in range(n):
+        best = None
+        for split in ref_unit_splits(game, m):
+            picks = [
+                max(ref_slice_options(game, (m,), k, (split[k],), grid))
+                for k in range(k_n)
+            ]
+            total = sum(payoffs[0] for payoffs, _ in picks)
+            if best is None or total > best[0]:
+                best = (total, split, picks)
+        _, split, picks = best
+        for k, (payoffs, rows) in enumerate(picks):
+            energy[m, k] = split[k] * net.nodes[m].unit_energy
+            offload[k, m, m] = rows[0][0] * grid
+            rewards[m, k] = payoffs[0]
+    return SlicingAgreement(energy=energy, offload=offload, rewards=rewards)
+
+
+def ref_pair_deviates(game, standing, grid):
+    """Whether nodes 0 and 1 together can pay each more than standing + STRICT_EPS."""
+    members = (0, 1)
+    fronts = {}
+    for split0 in ref_unit_splits(game, 0):
+        for split1 in ref_unit_splits(game, 1):
+            per_service = []
+            for k in range(game.network.n_services):
+                key = (k, split0[k], split1[k])
+                if key not in fronts:
+                    options = ref_slice_options(game, members, k, key[1:], grid)
+                    points = {payoffs for payoffs, _ in options}
+                    # a dominated payoff pair never deviates where its dominator cannot
+                    fronts[key] = [
+                        p
+                        for p in points
+                        if not any(q != p and q[0] >= p[0] and q[1] >= p[1] for q in points)
+                    ]
+                per_service.append(fronts[key])
+            for picks in itertools.product(*per_service):
+                if all(sum(p[li] for p in picks) > standing[li] + STRICT_EPS for li in range(2)):
+                    return True
+    return False
+
+
+@st.composite
+def pair_core_games(draw):
+    """2-node, 2-service games whose workload leans toward one service per node."""
+    services = tuple(
+        make_service(
+            deadline=0.1, unit_rate=10.0, reward=draw(st.sampled_from([1.0, 2.0])), name=f"s{k}"
+        )
+        for k in range(2)
+    )
+    nodes = tuple(make_node(max_units=draw(st.integers(1, 2))) for _ in range(2))
+    tau = draw(st.sampled_from([0.01, 0.02, 0.04]))
+    net = make_network(services=services, nodes=nodes, tau=tau)
+    arrivals = np.zeros((2, 2))
+    for i in range(2):
+        main = draw(st.integers(0, 1))
+        arrivals[i, main] = 2.5 * draw(st.integers(1, 12))
+        arrivals[i, 1 - main] = draw(st.sampled_from([0.0, 0.0, 2.5, 5.0]))
+    budgets = np.array([draw(st.integers(0, 3)) for _ in range(2)])
+    return GameInstance(network=net, arrivals=arrivals, budgets=budgets)
+
+
 class TestCheckCore:
     def test_single_node_trivially_core(self):
         net = make_network(n_nodes=1, neighbors=(frozenset(),))
@@ -798,6 +979,70 @@ class TestCheckCore:
         scaled = np.asarray(dev.alphas[0]) / 0.25
         assert np.allclose(scaled, np.round(scaled), atol=1e-12)
 
+
+    @pytest.mark.parametrize(
+        "grid, rewards, steps_a, steps_b",
+        [
+            (0.05, 8.25, [[6, 5], [0, 0]], [[0, 0], [5, 6]]),
+            (0.1, 7.5, [[2, 3], [0, 0]], [[0, 0], [2, 3]]),
+            (0.25, 7.5, [[1, 1], [0, 0]], [[0, 0], [1, 1]]),
+        ],
+    )
+    def test_pair_deviates_together(self, grid, rewards, steps_a, steps_b):
+        # alone, one unit serves 0.4 of a node's own service in time; the
+        # pair pools a unit of each service at each node and serves more
+        game = two_service_pair_game()
+        standing = own_service_alone_agreement()
+        assert validate_agreement(game.network, budget_state(game), standing) == []
+        result = check_core(game, standing, CoreOptions(grid=grid))
+        assert result.certified is False
+        assert result.checked_subsets == 3
+        assert result.truncated_sizes == ()
+        dev = result.deviation
+        assert dev.members == (0, 1)
+        assert dev.rewards.tolist() == [rewards, rewards]
+        assert dev.energy.tolist() == [[1, 1], [1, 1]]
+        assert len(dev.alphas) == 2
+        assert np.array_equal(dev.alphas[0], np.array(steps_a) * grid)
+        assert np.array_equal(dev.alphas[1], np.array(steps_b) * grid)
+        agreement = deviation_agreement(game, dev)
+        assert validate_agreement(game.network, budget_state(game), agreement) == []
+        assert np.array_equal(agreement.total_rewards(), dev.rewards)
+
+    def test_pair_search_truncates_at_budget(self, monkeypatch):
+        monkeypatch.setattr("fogslice.game.CORE_MAX_CHECKS", 50)
+        result = check_core(two_service_pair_game(), own_service_alone_agreement())
+        assert result.certified is False
+        assert result.deviation is None
+        assert result.truncated_sizes == (2,)
+
+    def test_matches_brute_force_on_pairs(self):
+        grid = 0.25
+        searched = []
+
+        @settings(max_examples=150, deadline=None)
+        @given(pair_core_games())
+        def check(game):
+            standing = ref_local_play(game, grid)
+            assert validate_agreement(game.network, budget_state(game), standing) == []
+            current = standing.total_rewards()
+            full = (game.arrivals * [svc.reward for svc in game.network.services]).sum(axis=1)
+            pair_searched = bool(np.all(current < full - STRICT_EPS))
+            searched.append(pair_searched)
+            event(f"searches the pair: {pair_searched}")
+            expected = ref_pair_deviates(game, current, grid)
+            event(f"pair deviates: {expected}")
+            result = check_core(game, standing, CoreOptions(grid=grid))
+            assert (result.deviation is not None) == expected
+            assert result.certified is not expected
+            if expected:
+                dev = result.deviation
+                agreement = deviation_agreement(game, dev)
+                assert validate_agreement(game.network, budget_state(game), agreement) == []
+                assert np.all(dev.rewards > current[list(dev.members)] + STRICT_EPS)
+
+        check()
+        assert any(searched)
 
 class TestInstanceFiles:
     def build_game(self):
