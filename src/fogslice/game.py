@@ -795,26 +795,77 @@ def _exhaustive_vector_count(game: GameInstance) -> int:
     return count
 
 
-def _solve_exhaustive(game: GameInstance) -> WelfareSolution:
-    """Exact welfare by enumerating every per-service energy vector.
+def _slice_bound(instance: SliceInstance) -> float:
+    """Upper bound on ``solve_offload(instance).welfare``, from one water-fill.
 
-    Services decouple once the split is fixed, so each service's best
-    offload is computed once per energy vector and the joint split is
-    assembled by a search over vector combinations under the budgets.
+    The senders' deadline rows, weighted by arrival rate and summed, give
+    sum_m L_m (tau_m + 1/(c_m - L_m)) <= theta * Lambda: L_m is the load on
+    m, tau_m the cheapest allowed round trip into m, Lambda the total
+    arrival rate.  Maximizing sum_m L_m under it, L_m <= min(inbound_m,
+    c_m - RESIDUAL_FLOOR/2) and sum_m L_m <= Lambda is a water-fill for one
+    pooled sender, inflated past FEAS_TOL and the bisection's float bracket.
+    """
+    lam = instance.arrivals
+    total = float(lam.sum())
+    if total <= 0:
+        return 0.0
+    reach = instance.allowed() & (lam > 0)[:, None]
+    inbound = lam @ reach
+    tau = np.where(reach, instance.rtt, np.inf).min(axis=0)
+    caps = instance.capacities().astype(float)
+    box = np.minimum(inbound, caps - RESIDUAL_FLOOR / 2) / total
+    theta = instance.service.deadline * (1 + 2 * FEAS_TOL)
+    served = total * float(_waterfill(tau, caps, box, total, theta).sum())
+    return instance.service.reward * (served * (1 + 1e-9) + 1e-9)
+
+
+def _solve_exhaustive(game: GameInstance) -> WelfareSolution:
+    """Exact welfare over every per-service energy vector, solving only some.
+
+    Services decouple once the split is fixed, so the joint split is a
+    search over one vector per service under the budgets.  Each candidate
+    vector gets an optimistic total: its ``_slice_bound`` plus the best
+    bounded total of the later services on the budget left.  Candidates are
+    visited by optimistic total, highest first; each (service, vector) is
+    solved at most once, and the visit stops at the first candidate whose
+    optimistic total is below the best exact total so far.  No skipped
+    candidate can reach the maximum, and among the visited ones that do,
+    the first in ``itertools.product`` order wins with the same float sum
+    as a full enumeration, so the agreement and welfare are those of solving
+    every vector.
     """
     net = game.network
     n, k_n = net.n_nodes, net.n_services
     ranges = [range(_energy_cap(nd, budget) + 1) for nd, budget in zip(net.nodes, game.budgets)]
-    per_service: list[dict[tuple[int, ...], tuple[float, np.ndarray]]] = []
-    for k in range(k_n):
-        table: dict[tuple[int, ...], tuple[float, np.ndarray]] = {}
-        for vec in itertools.product(*ranges):
-            sol = solve_offload(game.slice_for(k, np.array(vec)))
-            table[vec] = (sol.welfare, sol.alpha)
-        per_service.append(table)
-
-    budgets = tuple(int(b) for b in game.budgets)
+    vectors = list(itertools.product(*ranges))
+    solved: dict[tuple[int, tuple[int, ...]], OffloadSolution] = {}
+    bounds: dict[tuple[int, tuple[int, ...]], float] = {}
     memo: dict[tuple[int, tuple[int, ...]], tuple[float, tuple]] = {}
+    bound_memo: dict[tuple[int, tuple[int, ...]], float] = {}
+
+    def once(table: dict, fn, k: int, vec: tuple[int, ...]):
+        if (k, vec) not in table:
+            table[k, vec] = fn(game.slice_for(k, np.array(vec)))
+        return table[k, vec]
+
+    def fitting(remaining: tuple[int, ...]):
+        # (vector, budget left) for every vector within ``remaining``, in product order
+        return [
+            (vec, tuple(r - e for r, e in zip(remaining, vec)))
+            for vec in vectors
+            if all(e <= r for e, r in zip(vec, remaining))
+        ]
+
+    def bound_from(k: int, remaining: tuple[int, ...]) -> float:
+        if k == k_n:
+            return 0.0
+        key = (k, remaining)
+        if key not in bound_memo:
+            bound_memo[key] = max(
+                once(bounds, _slice_bound, k, vec) + bound_from(k + 1, rest)
+                for vec, rest in fitting(remaining)
+            )
+        return bound_memo[key]
 
     def best_from(k: int, remaining: tuple[int, ...]) -> tuple[float, tuple]:
         if k == k_n:
@@ -822,21 +873,27 @@ def _solve_exhaustive(game: GameInstance) -> WelfareSolution:
         key = (k, remaining)
         if key in memo:
             return memo[key]
-        best = (-np.inf, ())
-        for vec, (welfare, _) in per_service[k].items():
-            if any(e > r for e, r in zip(vec, remaining)):
-                continue
-            rest = tuple(r - e for r, e in zip(remaining, vec))
+        cands = [(np.inf, pos, vec, rest) for pos, (vec, rest) in enumerate(fitting(remaining))]
+        if len(cands) > 1:  # a lone candidate is solved without a bound
+            cands = [
+                (once(bounds, _slice_bound, k, vec) + bound_from(k + 1, rest), pos, vec, rest)
+                for _, pos, vec, rest in cands
+            ]
+            cands.sort(key=lambda c: c[0], reverse=True)
+        best, best_pos = (-np.inf, ()), len(cands)
+        for optimistic, pos, vec, rest in cands:
+            if optimistic < best[0]:
+                break
             sub_w, sub_vecs = best_from(k + 1, rest)
-            total = welfare + sub_w
-            if total > best[0]:
-                best = (total, (vec,) + sub_vecs)
+            total = once(solved, solve_offload, k, vec).welfare + sub_w
+            if total > best[0] or (total == best[0] and pos < best_pos):
+                best, best_pos = (total, (vec,) + sub_vecs), pos
         memo[key] = best
         return best
 
-    welfare, vecs = best_from(0, budgets)
+    welfare, vecs = best_from(0, tuple(int(b) for b in game.budgets))
     energy = np.array(vecs, dtype=int).T if vecs else np.zeros((n, k_n), dtype=int)
-    alphas = [per_service[k][vecs[k]][1] for k in range(k_n)]
+    alphas = [solved[k, vecs[k]].alpha for k in range(k_n)]
     energy, alphas = _trim_energy(game, energy, alphas)
     return WelfareSolution(
         agreement=_assemble(game, energy, alphas),
@@ -947,8 +1004,11 @@ def _trim_energy(game: GameInstance, energy: np.ndarray, alphas):
 def solve_social_welfare(game: GameInstance, options: SolverOptions | None = None) -> WelfareSolution:
     """Energy splits and offload matrices maximizing total slot payoff.
 
-    Small instances are solved exactly by enumerating energy vectors per
-    service (services decouple given the split).  Larger ones build two
+    Small instances are solved exactly over every energy vector per service
+    (services decouple given the split).  A pooled-deadline bound per
+    (service, vector) orders the search, and only vectors the bound cannot
+    rule out are solved; the winner is the one a full enumeration keeps,
+    the first best in ``itertools.product`` order.  Larger ones build two
     candidates, isolated play and demand-driven provisioning with routed
     offload, and keep the better; the isolated candidate guarantees
     cooperation never pays less than going it alone.

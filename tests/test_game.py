@@ -18,10 +18,13 @@ from fogslice.game import (
     GameInstance,
     SliceInstance,
     _ascent,
+    _assemble,
     _best_split,
     _joint_constraints,
     _joint_refine,
+    _slice_bound,
     _SliceWork,
+    _trim_energy,
     _waterfill,
     check_core,
     dump_instance,
@@ -729,6 +732,193 @@ class TestSocialWelfare:
                 battery=budgets, arrivals=arrivals, harvested_prev=np.zeros(n, dtype=int)
             )
             assert validate_agreement(net, state, sol.agreement) == []
+
+
+@st.composite
+def small_networks(draw, max_services=1):
+    """1-3 node networks with drawn hardware, edges, round trips and arrivals.
+
+    Some edges are missing and some round trips meet or exceed a deadline,
+    so a destination can be unreachable; some arrival rates are zero.
+    """
+    n = draw(st.integers(1, 3))
+    services = tuple(
+        make_service(
+            deadline=draw(st.floats(0.04, 0.15)),
+            reward=draw(st.floats(0.5, 2.0)),
+            unit_rate=draw(st.floats(8.0, 30.0)),
+            name=f"s{k}",
+        )
+        for k in range(draw(st.integers(1, max_services)))
+    )
+    nodes = tuple(
+        make_node(
+            max_units=draw(st.integers(1, 4)),
+            unit_energy=draw(st.integers(1, 2)),
+            rate_factor=draw(st.floats(0.5, 2.0)),
+        )
+        for _ in range(n)
+    )
+    rtt = np.zeros((n, n))
+    links = [set() for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if draw(st.booleans()):
+            links[i].add(j)
+            links[j].add(i)
+        choice = draw(st.sampled_from([0.005, 0.02, 0.04, "deadline", 0.2]))
+        rtt[i, j] = rtt[j, i] = services[0].deadline if choice == "deadline" else choice
+    arrival = st.one_of(st.just(0.0), st.floats(0.5, 40.0))
+    arrivals = np.array([[draw(arrival) for _ in services] for _ in range(n)])
+    net = NetworkSpec(
+        services=services, nodes=nodes, neighbors=tuple(frozenset(s) for s in links), rtt=rtt
+    )
+    return net, arrivals
+
+
+@st.composite
+def bound_slices(draw):
+    net, arrivals = draw(small_networks())
+    return SliceInstance(
+        service=net.services[0],
+        nodes=net.nodes,
+        energy=np.array([draw(st.integers(0, 4)) for _ in net.nodes]),
+        arrivals=arrivals[:, 0],
+        neighbors=net.neighbors,
+        rtt=net.rtt,
+    )
+
+
+@st.composite
+def exhaustive_games(draw, max_budget=4):
+    """1-3 node, 1-2 service games; 3-node budgets stop at 2 to keep each draw cheap."""
+    net, arrivals = draw(small_networks(max_services=2))
+    top = max_budget if net.n_nodes <= 2 else 2
+    budgets = np.array([draw(st.integers(0, top)) for _ in net.nodes])
+    return GameInstance(network=net, arrivals=arrivals, budgets=budgets)
+
+
+def f4_pair():
+    """Acceptance F4 pair: lams (10, 5), budgets (4, 4), tau 0.02; both fully serve themselves."""
+    net = make_network(n_nodes=2, services=(make_service(deadline=0.1, unit_rate=10.0),))
+    return GameInstance(
+        network=net, arrivals=np.array([[10.0], [5.0]]), budgets=np.array([4, 4])
+    )
+
+
+def reference_exhaustive(game):
+    """The exhaustive path as a full enumeration: every energy vector solved.
+
+    ``best_from`` keeps the first strict maximum in ``itertools.product``
+    order, as the search did before it was bounded.
+    """
+    net = game.network
+    n, k_n = net.n_nodes, net.n_services
+    ranges = [
+        range(min(int(b), nd.max_units * nd.unit_energy) + 1)
+        for nd, b in zip(net.nodes, game.budgets)
+    ]
+    per_service = []
+    for k in range(k_n):
+        table = {}
+        for vec in itertools.product(*ranges):
+            sol = solve_offload(game.slice_for(k, np.array(vec)))
+            table[vec] = (sol.welfare, sol.alpha)
+        per_service.append(table)
+    memo = {}
+
+    def best_from(k, remaining):
+        if k == k_n:
+            return 0.0, ()
+        if (k, remaining) in memo:
+            return memo[k, remaining]
+        best = (-np.inf, ())
+        for vec, (welfare, _) in per_service[k].items():
+            if any(e > r for e, r in zip(vec, remaining)):
+                continue
+            rest = tuple(r - e for r, e in zip(remaining, vec))
+            sub_w, sub_vecs = best_from(k + 1, rest)
+            total = welfare + sub_w
+            if total > best[0]:
+                best = (total, (vec,) + sub_vecs)
+        memo[k, remaining] = best
+        return best
+
+    welfare, vecs = best_from(0, tuple(int(b) for b in game.budgets))
+    energy = np.array(vecs, dtype=int).T if vecs else np.zeros((n, k_n), dtype=int)
+    alphas = [per_service[k][vecs[k]][1] for k in range(k_n)]
+    energy, alphas = _trim_energy(game, energy, alphas)
+    return _assemble(game, energy, alphas), welfare
+
+
+def assert_same_as_full_enumeration(game):
+    sol = solve_social_welfare(game)
+    assert sol.status == "exhaustive"
+    ref, ref_welfare = reference_exhaustive(game)
+    for name in ("energy", "offload", "rewards"):
+        got, want = getattr(sol.agreement, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert float(sol.welfare).hex() == float(ref_welfare).hex()
+
+
+class TestExhaustiveSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(bound_slices())
+    @example(f4_pair().slice_for(0, np.array([4, 4])))
+    def test_slice_bound_is_a_bound(self, inst):
+        assert _slice_bound(inst) >= solve_offload(inst).welfare
+
+    @pytest.mark.parametrize(
+        "energy, lam, deadline",
+        [(0, 15.0, 0.1), (2, 0.0, 0.1), (1, 5.0, 0.1), (1, 30.0, 0.1), (4, 15.0, 0.1),
+         (2, 60.0, 0.05), (4, 30.0, 0.05), (4, 5.0, 0.05)],
+    )
+    def test_lone_node_bound_is_the_closed_form(self, energy, lam, deadline):
+        inst = solo_slice(energy, lam, deadline=deadline)
+        c = float(inst.capacities()[0])
+        value = inst.service.reward * min(lam, deadline * lam * c / (1.0 + deadline * lam))
+        assert abs(_slice_bound(inst) - value) <= 1e-8 * max(1.0, value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(exhaustive_games())
+    def test_same_winner_as_full_enumeration(self, game):
+        assert_same_as_full_enumeration(game)
+
+    def test_ties_go_to_the_first_vector_in_product_order(self):
+        # (0, 3), (1, 3), (2, 2) and (2, 3) all serve every request; (1, 3)
+        # and (2, 2) share the largest float welfare, and (2, 2) has the
+        # larger bound, so it is visited first but must not win
+        net = make_network(n_nodes=2, services=(make_service(deadline=0.1, unit_rate=10.0),))
+        game = GameInstance(
+            network=net, arrivals=np.array([[10.0], [2.0]]), budgets=np.array([2, 3])
+        )
+        assert_same_as_full_enumeration(game)
+        assert solve_social_welfare(game).agreement.energy[:, 0].tolist() == [1, 3]
+
+    def test_solves_fewer_slices_than_vectors(self, monkeypatch):
+        import fogslice.game as game_module
+
+        calls = []
+        real = game_module.solve_offload
+
+        def counting(instance):
+            calls.append(tuple(instance.energy))
+            return real(instance)
+
+        monkeypatch.setattr(game_module, "solve_offload", counting)
+        solve_social_welfare(f4_pair())
+        assert len(calls) == len(set(calls))
+        assert len(calls) < 5 * 5
+
+    @settings(max_examples=100, deadline=None)
+    @given(exhaustive_games(max_budget=3), st.data())
+    def test_more_budget_never_lowers_welfare(self, game, data):
+        i = data.draw(st.integers(0, game.network.n_nodes - 1))
+        budgets = game.budgets.copy()
+        budgets[i] += 1
+        richer = GameInstance(network=game.network, arrivals=game.arrivals, budgets=budgets)
+        before, after = solve_social_welfare(game), solve_social_welfare(richer)
+        assert before.status == after.status == "exhaustive"
+        assert after.welfare >= before.welfare
 
 
 def deviation_agreement(game, dev):
