@@ -110,6 +110,14 @@ def _as_num(value, path: str) -> float:
     return float(value)
 
 
+def _as_delay(value, path: str) -> float:
+    """A round-trip term: a number >= 0 (the solvers assume no negative delay)."""
+    delay = _as_num(value, path)
+    if not delay >= 0:
+        _fail(path, f"must be >= 0, got {delay!r}")
+    return delay
+
+
 # The keys each config mapping may hold; anything else is a typo or a removed
 # option and is rejected rather than silently ignored.
 ROOT_KEYS = (
@@ -283,11 +291,11 @@ def build_config(cfg: dict) -> ExperimentConfig:
         _fail("topology.rule", f"unknown rule {rule_name!r}")
     rtt_cfg = _mapping(topo_cfg.get("rtt", {"kind": "constant"}), "topology.rtt", RTT_KEYS)
     if rtt_cfg.get("kind", "constant") == "constant":
-        rtt_rule = topo_mod.ConstantRtt(_as_num(rtt_cfg.get("tau0", topo_mod.DEFAULT_RTT_S), "topology.rtt.tau0"))
+        rtt_rule = topo_mod.ConstantRtt(_as_delay(rtt_cfg.get("tau0", topo_mod.DEFAULT_RTT_S), "topology.rtt.tau0"))
     elif rtt_cfg.get("kind") == "distance":
         rtt_rule = topo_mod.DistanceRtt(
-            base=_as_num(rtt_cfg.get("base"), "topology.rtt.base"),
-            per_meter=_as_num(rtt_cfg.get("per_meter"), "topology.rtt.per_meter"),
+            base=_as_delay(rtt_cfg.get("base"), "topology.rtt.base"),
+            per_meter=_as_delay(rtt_cfg.get("per_meter"), "topology.rtt.per_meter"),
         )
     else:
         _fail("topology.rtt.kind", f"unknown rtt kind {rtt_cfg.get('kind')!r}")

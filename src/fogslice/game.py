@@ -12,9 +12,12 @@ strictly better for every member on its own.
 Offload fractions for one slice are found by block-coordinate ascent: each
 sender in turn gets the row of fractions maximizing its served workload
 subject to every deadline and capacity staying feasible, via a water-filling
-step whose common marginal delay price is found by geometric bisection.  A
-grid-search oracle (oracles module) backstops the whole pipeline on
-desk-size instances.
+step on a common marginal delay price.  That price is the one a geometric
+bisection ends on.  Because round trips are non-negative, the bisection's
+pass/fail verdict is monotone in the price even in floating point, so a few
+safeguarded Newton probes answer nearly all of its steps, and the result is
+the bisection's to the last bit.  A grid-search oracle (oracles module)
+backstops the whole pipeline on desk-size instances.
 """
 
 from __future__ import annotations
@@ -265,12 +268,25 @@ def _waterfill(tau, cap, box, lam, theta):
     The delay of destination m is g_m(a) = a*tau_m + a/(cap_m - lam*a),
     strictly convex and increasing, so the optimum equalizes the marginal
     price phi_m(a) = tau_m + cap_m/(cap_m - lam*a)^2 across destinations in
-    use.  The common price is found by geometric bisection, which stops
-    once the price bracket is two adjacent floats and cannot be split.
+    use.  The common price is the lo a geometric bisection ends on, which
+    stops once the price bracket is two adjacent floats and cannot be split.
+
+    Most of the bisection's verdicts are inferred, not computed.  With
+    tau >= 0 at the destinations in use (and cap > 0, lam > 0) every float
+    operation in the allocation and the verdict is monotone in each of its
+    arguments, and so is numpy's fixed summation order; so the verdict, as
+    computed, is monotone in the price: a price that passes answers every
+    lower one, and a price that fails every higher one.  Safeguarded Newton
+    probes (see ``_price_probe``) first bracket the price where the verdict
+    switches; the bisection then evaluates only the mids strictly between
+    the highest passing and the lowest failing probe, and every other mid
+    gets the verdict it would have computed.  It ends on the same lo, and
+    the allocation at lo is the same to the last bit.
 
     Raises:
         ValueError: If a destination in use has lam * box >= cap, so its box
-            leaves no residual capacity.
+            leaves no residual capacity, or a negative or NaN round trip,
+            which breaks the monotonicity the inference rests on.
     """
     full = np.zeros_like(cap)
     active = (box > 1e-15) & (cap > RESIDUAL_FLOOR)
@@ -281,7 +297,10 @@ def _waterfill(tau, cap, box, lam, theta):
     b = box[active]
     if np.any(lam * b >= c):
         raise ValueError("box leaves a destination in use no residual capacity")
+    if not np.all(t >= 0):
+        raise ValueError("a destination in use has a negative or NaN round trip")
     phi0 = t + 1.0 / c
+    share_max, delay_max = 1.0 + 1e-15, theta + 1e-15
 
     def alloc(mu):
         inner = np.maximum(mu - t, 1e-300)
@@ -290,32 +309,92 @@ def _waterfill(tau, cap, box, lam, theta):
         a[mu <= phi0] = 0.0
         return a
 
-    def feasible(mu):
+    def measure(mu):
         a = alloc(mu)
         resid = np.maximum(c - lam * a, 1e-300)
-        g = float((a * t + a / resid).sum())
-        return (a.sum() <= 1.0 + 1e-15) and (g <= theta + 1e-15), a
+        share, delay = a.sum(), float((a * t + a / resid).sum())
+        return a, share, delay, share <= share_max and delay <= delay_max
 
     resid_box = c - lam * b
     hi = float((t + c / resid_box**2).max()) * 2.0 + 1.0
-    ok_hi, a_hi = feasible(hi)
-    if ok_hi:
-        full[active] = a_hi
+    a, share, delay, ok = measure(hi)
+    if ok:
+        full[active] = a
         return full
     lo = float(phi0.min())
-    best = np.zeros_like(c)
+    # probes: good passes, bad fails; they only narrow the range the bisection
+    # below must evaluate, so a probe budget running out costs time, not bits
+    good, bad = lo, hi
+    mu, a, share, delay, ok = lo, np.zeros_like(c), 0.0, 0.0, True  # alloc(lo) is all zeros
+    k = np.sqrt(c) / lam
+    for _ in range(64):
+        opened = (mu >= phi0) & (a < b)
+        if opened.any():
+            nxt = _price_probe(mu, t[opened], k[opened], share_max - share, delay_max - delay)
+            # once the fit stalls at the switch, step one ulp across it
+            nxt = max(nxt, mu + math.ulp(mu)) if ok else min(nxt, mu - math.ulp(mu))
+        else:
+            # every destination is shut or full: nothing moves before the next opening price
+            above = phi0[phi0 > mu]
+            nxt = float(above.min()) if ok and above.size else math.nan
+        if not good < nxt < bad:
+            nxt = math.sqrt(good * bad)
+            if not good < nxt < bad:
+                break  # no float left between a pass and a fail
+        mu = nxt
+        a, share, delay, ok = measure(mu)
+        if ok:
+            good = mu
+        else:
+            bad = mu
     for _ in range(130):
         mid = math.sqrt(lo * hi)
         if not lo < mid < hi:
             break  # the bracket cannot be split; every later step repeats a verdict
-        good, a = feasible(mid)
-        if good:
-            lo, best = mid, a
+        passed = measure(mid)[3] if good < mid < bad else mid <= good
+        if passed:
+            lo = mid
         else:
             hi = mid
+    best = alloc(lo)
     best[best < 1e-12] = 0.0
     full[active] = best
     return full
+
+
+def _price_probe(mu, t, k, share_gap, delay_gap):
+    """Next water-fill price to probe, from the allocation at price mu.
+
+    t and k = sqrt(cap)/lam cover the destinations open and below their box
+    at mu; share_gap and delay_gap are the limits minus the share S and the
+    delay G there.  Until a destination opens or fills, S(x) = const -
+    sum k (x - t)^-1/2, so S' = 0.5 sum k (x - t)^-1.5, and G' = x S'.  The
+    fit S ~ K - A (x - T)^-1/2 matches S' and S'' at mu, and is exact when
+    the open destinations share one round trip; its integral
+    A ((x - T)^1/2 - T (x - T)^-1/2) fits G.  Returns the lowest price at
+    which either fit meets its limit (NaN if the delay fit cannot), written
+    as steps from mu so that they survive when the gaps are tiny.
+    """
+    zi = 1.0 / (mu - t)
+    p = k * zi * np.sqrt(zi)
+    d1 = 0.5 * float(p.sum())
+    d2 = 0.75 * float((p * zi).sum())
+    if not (0.0 < d1 < math.inf and 0.0 < d2 < math.inf):
+        return math.nan
+    z = 1.5 * d1 / d2  # mu - T
+    # S: solve (x - T)^-1/2 = z^-1/2 (1 - e) for x - mu
+    e = share_gap / (2.0 * d1 * z)
+    step_share = 2.0 * z * e * (1.0 - 0.5 * e) / (1.0 - e) ** 2 if e < 1.0 else math.inf
+    # G: w = (x - T)^1/2 moves from sqrt(z) by dw, a root of sqrt(z) dw^2 + (mu - f sqrt(z)) dw - f z = 0
+    w = math.sqrt(z)
+    f = delay_gap / (2.0 * d1 * z * w)
+    lin = mu - f * w
+    disc = lin * lin + 4.0 * f * z * w
+    den = math.sqrt(max(disc, 0.0)) + lin
+    if disc < 0.0 or den <= 0.0:
+        return math.nan
+    dw = 2.0 * f * z / den
+    return mu + min(step_share, dw * (2.0 * w + dw))
 
 
 class _SliceWork:

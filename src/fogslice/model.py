@@ -84,7 +84,8 @@ class NetworkSpec:
 
     ``neighbors[i]`` is the set of destinations node i may forward to
     (sender side; the relation need not be symmetric).  ``rtt[i, j]`` is the
-    round-trip time in seconds between i and j, with ``rtt[i, i] == 0``.
+    round-trip time in seconds between i and j, with ``rtt[i, i] == 0`` and
+    every entry >= 0 (the water-fill's price search relies on it).
     """
 
     services: tuple[ServiceTypeSpec, ...]
@@ -101,6 +102,8 @@ class NetworkSpec:
             raise DimensionMismatch(f"rtt must be {n}x{n}, got {rtt.shape}")
         if np.any(np.diag(rtt) != 0.0):
             raise ValueError("rtt diagonal must be zero")
+        if not np.all(rtt >= 0.0):
+            raise ValueError("rtt entries must be >= 0 (negative or NaN round trips are not delays)")
         for i, nbrs in enumerate(self.neighbors):
             for j in nbrs:
                 if not 0 <= j < n or j == i:

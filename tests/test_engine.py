@@ -143,6 +143,26 @@ class TestBuildConfig:
             build_config(raw)
         assert f"{path}: unknown key" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "rtt, path",
+        [
+            ({"kind": "constant", "tau0": -0.01}, "topology.rtt.tau0"),
+            ({"kind": "constant", "tau0": float("nan")}, "topology.rtt.tau0"),
+            ({"kind": "distance", "base": -0.5, "per_meter": 1e-4}, "topology.rtt.base"),
+            ({"kind": "distance", "base": 0.01, "per_meter": -1e-4}, "topology.rtt.per_meter"),
+        ],
+        ids=["negative-tau0", "nan-tau0", "negative-base", "negative-per_meter"],
+    )
+    def test_round_trips_must_be_nonnegative(self, rtt, path):
+        raw = base_engine_config()
+        raw["topology"]["rtt"] = rtt
+        with pytest.raises(ConfigError) as err:
+            build_config(raw)
+        assert f"{path}: must be >= 0" in str(err.value)
+        # zero round trips are fine
+        raw["topology"]["rtt"] = {"kind": "distance", "base": 0.0, "per_meter": 0.0}
+        assert np.all(build_config(raw).network.rtt == 0.0)
+
     def test_arrival_chain_count_must_match_services(self):
         raw = base_engine_config()
         raw["services"].append(

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -495,19 +496,40 @@ def reference_waterfill(tau, cap, box, lam, theta):
     return full, collapsed
 
 
+def reference_verdict(tau, cap, box, lam, theta, mu):
+    """reference_waterfill's pass/fail verdict at price mu, for one price."""
+    active = (box > 1e-15) & (cap > RESIDUAL_FLOOR)
+    t = tau[active]
+    c = cap[active]
+    b = box[active]
+    phi0 = t + 1.0 / c
+    inner = np.maximum(mu - t, 1e-300)
+    a = (c - np.sqrt(c / inner)) / lam
+    a = np.clip(a, 0.0, b)
+    a[mu <= phi0] = 0.0
+    resid = np.maximum(c - lam * a, 1e-300)
+    g = float((a * t + a / resid).sum())
+    return bool((a.sum() <= 1.0 + 1e-15) and (g <= theta + 1e-15))
+
+
 @st.composite
 def waterfill_inputs(draw):
-    """Inputs inside _waterfill's contract: lam * box < cap where cap > floor.
+    """Inputs inside _waterfill's contract: tau >= 0, lam * box < cap where cap > floor.
 
+    Rows run to 32 destinations (numpy's pairwise sum regroups from 8 on).
     Some destinations are idle (no box or no capacity), and some boxes sit
-    one float below saturation.
+    one float below saturation.  A plateau row fills boxes summing to
+    exactly 1 before its other destinations open; a pooled row is shaped
+    like ``_slice_bound``'s call: one sender with every arrival, boxes from
+    inbound workload, the deadline inflated by 2 * FEAS_TOL.
     """
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 32))
     lam = draw(st.floats(0.5, 120.0))
-    theta = draw(st.floats(0.01, 0.3))
+    theta = draw(st.floats(1e-4, 0.3))
     tau = np.array([draw(st.sampled_from([0.0, 0.005, 0.02, 0.06])) for _ in range(n)])
     cap = np.array([draw(st.floats(1.0, 200.0)) for _ in range(n)])
     box = np.zeros(n)
+    shape = draw(st.sampled_from(["row", "row", "plateau", "pooled"]))
     for m in range(n):
         kind = draw(st.sampled_from(["spent", "idle", "share", "share", "edge"]))
         if kind == "spent":
@@ -517,6 +539,10 @@ def waterfill_inputs(draw):
             continue
         if kind == "idle":
             continue
+        if shape == "pooled":
+            inbound = draw(st.floats(0.0, 1.0)) * lam
+            box[m] = min(inbound, cap[m] - RESIDUAL_FLOOR / 2) / lam
+            continue
         limit = cap[m] / lam
         if kind == "edge" and limit <= 1.0:
             b = limit
@@ -525,11 +551,31 @@ def waterfill_inputs(draw):
         while lam * b >= cap[m]:
             b = np.nextafter(b, 0.0)
         box[m] = b
+    if shape == "pooled":
+        theta *= 1 + 2 * FEAS_TOL
+    if shape == "plateau":
+        # 1, 2, 4 or 8 zero-delay destinations whose boxes sum to exactly 1
+        size = draw(st.sampled_from([s for s in (1, 2, 4, 8) if s <= n]))
+        for m in draw(st.permutations(range(n)))[:size]:
+            tau[m] = 0.0
+            box[m] = 1.0 / size
+            cap[m] = max(cap[m], 2.0 * lam * box[m])
     return tau, cap, box, lam, theta
 
 
 EARLY_RETURN = (np.array([0.0, 0.02]), np.array([50.0, 40.0]), np.array([0.1, 0.1]), 10.0, 0.1)
 SCARCE_PAIR = (np.array([0.0, 0.02]), np.array([20.0, 15.0]), np.array([0.3, 0.2]), 60.0, 0.1)
+# two local boxes fill to a share of exactly 1 at price 0.0053, below the
+# third destination's opening price 0.08, where the verdict switches
+PLATEAU = (np.array([0.0, 0.0, 0.06]), np.array([200.0, 200.0, 50.0]), np.array([0.5, 0.5, 0.9]), 10.0, 0.3)
+# an urban-sized row: numpy sums it pairwise, in an order unlike a loop's
+ROW24 = (
+    np.resize([0.0, 0.005, 0.02, 0.06], 24),
+    np.linspace(5.0, 120.0, 24),
+    np.full(24, 0.1),
+    30.0,
+    0.1,
+)
 
 
 class TestWaterfill:
@@ -537,9 +583,59 @@ class TestWaterfill:
     @given(waterfill_inputs())
     @example(EARLY_RETURN)
     @example(SCARCE_PAIR)
+    @example(PLATEAU)
+    @example(ROW24)
     def test_matches_reference_bisection(self, args):
         ref, _ = reference_waterfill(*args)
         assert _waterfill(*args).tobytes() == ref.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(waterfill_inputs(), st.sampled_from(["stall", "none", "overshoot", "creep"]))
+    @example(PLATEAU, "stall")
+    @example(ROW24, "stall")
+    def test_any_probe_sequence_keeps_every_bit(self, args, probe):
+        """Probes only save work: with useless ones the bisection's result is unchanged.
+
+        A stalled probe moves one ulp at a time until the probe budget runs
+        out, so the bisection has to evaluate the mids left between them.
+        """
+        fake = {
+            "stall": lambda mu, *_: mu,
+            "none": lambda mu, *_: math.nan,  # geometric mids of the probe bracket
+            "overshoot": lambda mu, *_: 4.0 * mu,
+            "creep": lambda mu, *_: mu * (1.0 + 1e-9),
+        }[probe]
+        ref, _ = reference_waterfill(*args)
+        with mock.patch("fogslice.game._price_probe", fake):
+            assert _waterfill(*args).tobytes() == ref.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(waterfill_inputs(), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(1, 64))
+    @example(PLATEAU, 0.3, 0.9, 8)
+    def test_reference_verdict_is_monotone_in_the_price(self, args, at1, at2, width):
+        """The premise of _waterfill's inference: below a passing price, every price passes."""
+        tau, cap, box, lam, theta = args
+        active = (box > 1e-15) & (cap > RESIDUAL_FLOOR)
+        assume(active.any())
+        t, c, b = tau[active], cap[active], box[active]
+        lo = float((t + 1.0 / c).min())
+        hi = float((t + c / (c - lam * b) ** 2).max()) * 2.0 + 1.0
+        # two prices anywhere in the bracket _waterfill searches
+        mu1, mu2 = (lo * (hi / lo) ** at for at in sorted((at1, at2)))
+        assert reference_verdict(*args, mu1) or not reference_verdict(*args, mu2)
+        # and float by float across the price where the verdict switches
+        top = hi
+        while lo < math.sqrt(lo * top) < top:
+            mid = math.sqrt(lo * top)
+            if reference_verdict(*args, mid):
+                lo = mid
+            else:
+                top = mid
+        prices = [lo]
+        for _ in range(width):
+            prices = [np.nextafter(prices[0], 0.0), *prices, np.nextafter(prices[-1], np.inf)]
+        verdicts = [reference_verdict(*args, mu) for mu in prices]
+        assert verdicts == sorted(verdicts, reverse=True)
 
     def test_early_collapse_keeps_every_bit(self):
         _, collapsed = reference_waterfill(*EARLY_RETURN)
@@ -551,6 +647,14 @@ class TestWaterfill:
         assert 0.0 < out.sum() < 1.0
         assert out.tobytes() == ref.tobytes()
 
+    def test_plateau_ends_at_an_opening_price(self):
+        out = _waterfill(*PLATEAU)
+        assert out.tolist() == [0.5, 0.5, 0.0]
+        tau, cap, box, lam, theta = PLATEAU
+        opening = tau[2] + 1.0 / cap[2]
+        assert reference_verdict(*PLATEAU, opening)
+        assert not reference_verdict(*PLATEAU, np.nextafter(opening, 1.0))
+
     def test_box_without_residual_rejected(self):
         tau = np.full(3, 0.01)
         cap = np.array([20.0, 30.0, 40.0])
@@ -560,6 +664,16 @@ class TestWaterfill:
         # boxes that leave the residual floor serve a share
         assert np.all((cap - RESIDUAL_FLOOR) / 60.0 < 1.0)
         assert lone_sender_share(tau, cap, 60.0, 0.1) > 0.0
+
+    @pytest.mark.parametrize("bad", [-0.01, float("nan")])
+    def test_negative_or_nan_round_trip_rejected(self, bad):
+        cap = np.array([20.0, 30.0, 40.0])
+        box = np.array([0.2, 0.2, 0.0])
+        with pytest.raises(ValueError, match="round trip"):
+            _waterfill(np.array([0.0, bad, 0.01]), cap, box, 10.0, 0.1)
+        # a destination out of use may carry any round trip
+        out = _waterfill(np.array([0.0, 0.01, bad]), cap, box, 10.0, 0.1)
+        assert 0.0 < out.sum() <= 0.4
 
 
 class TestEnergySplit:

@@ -138,6 +138,19 @@ class TestSpecTypes:
                 rtt=np.array([[0.01, 0.02], [0.02, 0.0]]),
             )
 
+    @pytest.mark.parametrize(
+        "rtt",
+        [[[0.0, -1.0], [float("nan"), 0.0]], [[0.0, -1e-12], [0.02, 0.0]], [[0.0, float("nan")], [0.02, 0.0]]],
+        ids=["negative-and-nan", "slightly-negative", "nan"],
+    )
+    def test_network_rejects_negative_or_nan_rtt(self, rtt):
+        from fogslice.model import NetworkSpec
+
+        nodes = (make_node(), make_node())
+        neighbors = (frozenset({1}), frozenset({0}))
+        with pytest.raises(ValueError, match="rtt entries must be >= 0"):
+            NetworkSpec(services=(make_service(),), nodes=nodes, neighbors=neighbors, rtt=np.array(rtt))
+
     def test_neighbor_indices_validated(self):
         svc = make_service()
         nodes = (make_node(), make_node())
