@@ -124,8 +124,8 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("--axis", required=True, help="dotted config path, e.g. topology.rtt.tau0")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--reps", type=int, default=1)
-    p_sweep.add_argument("--workers", type=int, default=None,
-                         help=f"overrides the {engine.WORKERS_ENV} environment variable")
+    p_sweep.add_argument("--workers", type=int, default=1,
+                         help="worker processes; results do not depend on it")
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(func=_cmd_sweep)
 

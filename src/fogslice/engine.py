@@ -55,7 +55,6 @@ from .model import (
 from .queueing import capacity
 
 POLICY_KINDS = ("no_coop", "nearest_neighbor", "radius_coop", "myopic", "bpomdp")
-WORKERS_ENV = "FOGSLICE_WORKERS"
 _MAX_MIND_CELLS = 4_000_000
 
 
@@ -895,19 +894,16 @@ def _sweep_cell(payload):
 
 
 def run_sweep(
-    cfg: dict, axis: str, values: list, reps: int = 1, workers: int | None = None
+    cfg: dict, axis: str, values: list, reps: int = 1, workers: int = 1
 ) -> SweepResult:
     """Run a seeded grid over one config axis.
 
     Rep r of every value runs with seed base+r, so values are compared on
-    paired sample paths.  Worker count comes from the FOGSLICE_WORKERS
-    environment variable unless given; results are merged in submission
-    order either way.
+    paired sample paths.  Above one worker the cells run in a process
+    pool; results are merged in submission order either way.
     """
     if reps < 1:
         raise ConfigError("reps must be >= 1")
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
     base_seed = int(cfg.get("seed", 0))
     jobs = [
         (cfg, axis, value, rep, base_seed) for value in values for rep in range(reps)

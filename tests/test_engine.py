@@ -513,6 +513,13 @@ class TestSweep:
         assert lines[0] == "axis,value,rep,seed,total_welfare,mean_slot_welfare,total_offloaded"
         assert len(lines) == 1 + 4
 
+    def test_parallel_sweep_matches_serial(self):
+        raw = self.scarce_solo()
+        serial = run_sweep(raw, "defaults.harvest.value", [2, 4], reps=2, workers=1)
+        parallel = run_sweep(raw, "defaults.harvest.value", [2, 4], reps=2, workers=2)
+        assert parallel.rows == serial.rows
+        assert parallel.summary == serial.summary
+
     def test_bad_axis_value_propagates_config_error(self):
         with pytest.raises(ConfigError):
             run_sweep(self.scarce_solo(), "policy.kind", ["optimal"], reps=1)

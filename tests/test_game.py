@@ -23,6 +23,7 @@ from fogslice.game import (
     _best_split,
     _joint_constraints,
     _joint_refine,
+    _last_feasible,
     _slice_bound,
     _SliceWork,
     _trim_energy,
@@ -576,6 +577,68 @@ ROW24 = (
     30.0,
     0.1,
 )
+
+
+def reference_last_feasible(feasible, hi, steps):
+    """The fixed-step bisection ``_last_feasible`` must match to the last bit."""
+    lo = 0.0
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@st.composite
+def step_searches(draw):
+    """(hi, predicate): deterministic predicates, some switching within ulps of 0 or hi."""
+    hi = draw(st.floats(1e-12, 1.0))
+    kind = draw(st.sampled_from(["always", "near_zero", "near_hi", "any"]))
+    if kind == "any":
+        return hi, draw(st.functions(like=lambda step: None, returns=st.booleans(), pure=True))
+    if kind == "always":
+        return hi, lambda step: True
+    if kind == "near_zero":
+        at = draw(st.integers(0, 4)) * math.ulp(0.0)
+    else:
+        at = hi
+        for _ in range(draw(st.integers(0, 4))):
+            at = math.nextafter(at, 0.0)
+    if draw(st.booleans()):
+        return hi, lambda step: step < at
+    return hi, lambda step: step <= at
+
+
+class TestFeasibleStep:
+    @settings(max_examples=400, deadline=None)
+    @given(step_searches(), st.sampled_from([50, 60]))
+    @example((1.0, lambda step: True), 60)
+    @example((math.ulp(0.0), lambda step: True), 60)
+    @example((3 * math.ulp(0.0), lambda step: step == 0.0), 50)
+    def test_matches_fixed_step_bisection(self, search, steps):
+        hi, feasible = search
+        ref_probes, probes = [], []
+        ref = reference_last_feasible(lambda s: ref_probes.append(s) or feasible(s), hi, steps)
+        got = _last_feasible(lambda s: probes.append(s) or feasible(s), hi, steps)
+        assert got.hex() == ref.hex()
+        # the early stop only drops the tail of the reference's probes
+        assert probes == ref_probes[: len(probes)]
+
+    def test_climbs_to_hi_and_stops(self):
+        probes = []
+        got = _last_feasible(lambda s: probes.append(s) or True, 1.0, 60)
+        # lo reaches the float below 1.0 after 53 probes; the 54th tests 1.0 itself
+        assert got == reference_last_feasible(lambda s: True, 1.0, 60) == 1.0
+        assert len(probes) == 54 and probes[-2] == math.nextafter(1.0, 0.0)
+
+    def test_nan_allocation_is_infeasible(self):
+        work = _SliceWork(pair_slice([5, 5], [80.0, 20.0]))
+        for rows in ([[math.nan, 0.0], [0.0, 0.1]], [[0.1, math.nan], [0.0, 0.0]]):
+            alpha = np.array(rows)
+            assert work.max_violation(alpha) == math.inf
+            assert not work.feasible(alpha)
 
 
 class TestWaterfill:
