@@ -28,7 +28,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -73,7 +73,6 @@ class PolicySpec:
     depth: int = 1
     gamma: float = 0.9
     helper_cap: int = 2
-    type_space: belief_mod.TypeSpace = field(default_factory=belief_mod.TypeSpace.default)
 
 
 @dataclass(frozen=True)
@@ -445,7 +444,7 @@ class _AgentMind:
         self.node = cfg.network.nodes[i]
         self.services = cfg.network.services
         self.depth = pol.depth
-        self.type_space = pol.type_space
+        self.type_space = belief_mod.TypeSpace.default()
         eu = self.node.unit_energy
         dist = topo_mod.pairwise_distances(cfg.positions)
         self.helpers = sorted(cfg.network.neighbors[i], key=lambda j: (dist[i, j], j))[

@@ -1126,6 +1126,10 @@ STRICT_EPS = 1e-6
 class CoreOptions:
     grid: float = 0.05
 
+    def __post_init__(self):
+        if not (math.isfinite(self.grid) and 0.0 < self.grid <= 1.0):
+            raise ValueError(f"grid must be a finite fraction in (0, 1], got {self.grid!r}")
+
 
 @dataclass(frozen=True)
 class Deviation:

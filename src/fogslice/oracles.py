@@ -4,22 +4,33 @@ Everything here re-derives an answer by enumeration or a textbook
 iteration, sharing no machinery with the solvers it checks: offload
 matrices are scored on an explicit fraction grid, welfare by enumerating
 every integer energy vector, and policy values by finite-horizon value
-iteration.  Slow on purpose; keep instances small.
+iteration.  The grid oracle scores every matrix it enumerates, a
+CHUNK_POINTS block at a time with numpy, and prunes nothing beyond
+per-sender capacity; its cost grows with the product of the senders' row
+counts, so keep instances small.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 
 import numpy as np
 
 from .game import FEAS_TOL, GameInstance, SliceInstance
 
 MAX_GRID_POINTS = 60_000_000
+CHUNK_POINTS = 1 << 14
 
 
 class OracleTooLarge(ValueError):
     """The requested enumeration exceeds the safety bound."""
+
+
+def _check_grid(grid: float) -> None:
+    if not (math.isfinite(grid) and 0.0 < grid <= 1.0):
+        raise ValueError(f"grid must be a finite fraction in (0, 1], got {grid!r}")
 
 
 def _sender_rows(instance: SliceInstance, i: int, caps: np.ndarray, grid: float) -> np.ndarray:
@@ -29,28 +40,16 @@ def _sender_rows(instance: SliceInstance, i: int, caps: np.ndarray, grid: float)
     if lam <= 0:
         return np.zeros((1, n))
     steps = int(round(1.0 / grid))
-    dests = list(np.flatnonzero(instance.allowed()[i]))
-    tops = []
+    dests = np.flatnonzero(instance.allowed()[i])
+    units = [()]
     for m in dests:
-        if caps[m] <= FEAS_TOL:
-            tops.append(0)
-            continue
-        top = int((caps[m] - FEAS_TOL) / (lam * grid))
-        tops.append(min(steps, max(top, 0)))
-    rows = []
-
-    def rec(d, left, acc):
-        if d == len(dests):
-            row = np.zeros(n)
-            for m, units in zip(dests, acc):
-                row[m] = units * grid
-            rows.append(row)
-            return
-        for units in range(min(tops[d], left) + 1):
-            rec(d + 1, left - units, acc + [units])
-
-    rec(0, steps, [])
-    return np.array(rows)
+        top = 0
+        if caps[m] > FEAS_TOL:
+            top = min(steps, max(int((caps[m] - FEAS_TOL) / (lam * grid)), 0))
+        units = [u + (k,) for u in units for k in range(min(top, steps - sum(u)) + 1)]
+    rows = np.zeros((len(units), n))
+    rows[:, dests] = np.array(units, dtype=float).reshape(len(units), len(dests)) * grid
+    return rows
 
 
 def grid_slice_welfare(instance: SliceInstance, grid: float = 0.1) -> float:
@@ -58,9 +57,13 @@ def grid_slice_welfare(instance: SliceInstance, grid: float = 0.1) -> float:
 
     Enumerates the cartesian product of per-sender rows, keeping only
     matrices where every used destination stays strictly stable and every
-    active sender meets the deadline.  The empty matrix is always feasible,
-    so the result is at least 0.
+    sender meets the deadline: its response time, summed over the
+    destinations it uses, is at most theta + FEAS_TOL (a sender using none
+    scores 0).  Loads and served shares are added sender by sender, in
+    sender order.  The empty matrix is always feasible, so the result is
+    at least 0.
     """
+    _check_grid(grid)
     n = instance.n_nodes
     caps = instance.capacities().astype(float)
     lam = instance.arrivals.astype(float)
@@ -70,51 +73,33 @@ def grid_slice_welfare(instance: SliceInstance, grid: float = 0.1) -> float:
     if not senders:
         return 0.0
     row_sets = [_sender_rows(instance, i, caps, grid) for i in senders]
-    total = 1
-    for rs in row_sets:
-        total *= len(rs)
+    shape = tuple(len(rows) for rows in row_sets)
+    total = math.prod(shape)
     if total > MAX_GRID_POINTS:
         raise OracleTooLarge(f"{total} grid points exceeds {MAX_GRID_POINTS}")
-
-    last = senders[-1]
-    last_rows = row_sets[-1]  # (R, n)
-    last_served = last_rows.sum(axis=1) * lam[last]
-    last_load = last_rows * lam[last]  # (R, n)
-    tau_last = instance.rtt[last]
+    # per sender: its grid rows as columns, so that a chunk holds one matrix
+    # per column, and the workload each row serves
+    columns = [rows.T.copy() for rows in row_sets]
+    shares = [rows.sum(axis=1) * lam[i] for i, rows in zip(senders, row_sets)]
 
     best = 0.0
-    for combo in itertools.product(*row_sets[:-1]):
-        base = np.zeros(n)
-        base_served = 0.0
-        for i, row in zip(senders[:-1], combo):
-            base += row * lam[i]
-            base_served += row.sum() * lam[i]
-        loads = base[None, :] + last_load  # (R, n)
-        resid = caps[None, :] - loads
-        used = loads > FEAS_TOL
-        stable = ~np.any(used & (resid <= FEAS_TOL), axis=1)
-        if not stable.any():
-            continue
+    for start in range(0, total, CHUNK_POINTS):
+        picks = np.unravel_index(np.arange(start, min(start + CHUNK_POINTS, total)), shape)
+        alphas = [np.take(cols, p, axis=1) for cols, p in zip(columns, picks)]
+        loads = np.zeros(alphas[0].shape)
+        served = np.zeros(len(picks[0]))
+        for i, alpha, share, p in zip(senders, alphas, shares, picks):
+            loads += alpha * lam[i]
+            served += share[p]
+        resid = caps[:, None] - loads
+        ok = ~np.any((loads > FEAS_TOL) & (resid <= FEAS_TOL), axis=0)
         delay = np.where(resid > FEAS_TOL, 1.0 / np.maximum(resid, 1e-300), np.inf)
-        ok = stable.copy()
-        for i, row in zip(senders[:-1], combo):
-            active = row > 0
-            if not active.any():
-                continue
-            pi = (row[active] * (instance.rtt[i, active] + delay[:, active])).sum(axis=1)
-            ok &= pi <= theta + FEAS_TOL
-        active_last = last_rows > 0
-        with np.errstate(invalid="ignore"):
-            pi_last = np.sum(
-                last_rows * (tau_last[None, :] + delay), axis=1, where=active_last
-            )
-        ok &= np.where(active_last.any(axis=1), pi_last <= theta + FEAS_TOL, True)
-        if not ok.any():
-            continue
-        obj = np.where(ok, base_served + last_served, -np.inf)
-        r = int(np.argmax(obj))
-        if rho * obj[r] > best:
-            best = rho * float(obj[r])
+        for i, alpha in zip(senders, alphas):
+            with np.errstate(invalid="ignore"):
+                terms = alpha * (instance.rtt[i][:, None] + delay)
+            ok &= np.where(alpha > 0, terms, 0.0).sum(axis=0) <= theta + FEAS_TOL
+        if ok.any():
+            best = max(best, rho * float(served[ok].max()))
     return best
 
 
@@ -138,21 +123,16 @@ def exhaustive_welfare(game: GameInstance, grid: float = 0.1) -> float:
             table[vec] = grid_slice_welfare(game.slice_for(k, np.array(vec)), grid)
         tables.append(table)
 
-    memo: dict[tuple[int, tuple[int, ...]], float] = {}
-
-    def best(k, remaining):
+    @functools.cache
+    def best(k: int, remaining: tuple[int, ...]) -> float:
         if k == k_n:
             return 0.0
-        key = (k, remaining)
-        if key in memo:
-            return memo[key]
-        out = -np.inf
-        for vec, welfare in tables[k].items():
-            if any(e > r for e, r in zip(vec, remaining)):
-                continue
-            out = max(out, welfare + best(k + 1, tuple(r - e for r, e in zip(remaining, vec))))
-        memo[key] = out
-        return out
+        totals = (
+            welfare + best(k + 1, tuple(r - e for r, e in zip(remaining, vec)))
+            for vec, welfare in tables[k].items()
+            if all(e <= r for e, r in zip(vec, remaining))
+        )
+        return max(totals, default=-np.inf)
 
     return float(best(0, budgets))
 

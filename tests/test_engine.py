@@ -617,6 +617,25 @@ class TestCli:
         assert cli.main(["oracle", "--instance", str(inst), "--grid", "0.05"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("grid", ["0", "-0.1", "nan"])
+    def test_oracle_rejects_invalid_grid(self, tmp_path, capsys, grid):
+        from fogslice.game import GameInstance, dump_instance
+        from conftest import make_network
+
+        inst = tmp_path / "one.inst"
+        dump_instance(
+            GameInstance(
+                network=make_network(n_nodes=1, neighbors=(frozenset(),)),
+                arrivals=np.array([[10.0]]),
+                budgets=np.array([2]),
+            ),
+            inst,
+        )
+        assert cli.main(["oracle", "--instance", str(inst), "--grid", grid]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: grid must be")
+        assert grid in err
+
     def test_oracle_rejects_large_instance(self, tmp_path, capsys):
         from fogslice.game import GameInstance, dump_instance
         from conftest import make_network

@@ -1279,6 +1279,11 @@ def pair_core_games(draw):
 
 
 class TestCheckCore:
+    @pytest.mark.parametrize("grid", [0.0, -0.1, 1.5, math.nan, math.inf])
+    def test_options_reject_invalid_grid(self, grid):
+        with pytest.raises(ValueError, match="grid"):
+            CoreOptions(grid=grid)
+
     def test_single_node_trivially_core(self):
         net = make_network(n_nodes=1, neighbors=(frozenset(),))
         game = GameInstance(network=net, arrivals=np.array([[20.0]]), budgets=np.array([4]))

@@ -1,10 +1,10 @@
-"""Print one sha256 and the welfare per run over a fixed set of episodes and games.
+"""Print one sha256 and the welfare per run over fixed episodes, games and oracle calls.
 
-Each line is ``label digest welfare...``: an episode's total welfare, or a
-game's welfare on the default path and then on the heuristic path, each
-printed with ``repr``.  Identical digests in two checkouts mean that every
-report, agreement, welfare value and core-check result came out byte for
-byte the same.
+Each line is ``label digest welfare...``: an episode's total welfare, a
+game's welfare on the default path and then on the heuristic path, or an
+oracle value, each printed with ``repr``.  Identical digests in two
+checkouts mean that every report, agreement, welfare value, core-check
+result and oracle value came out byte for byte the same.
 
     python3 tools/same_output.py > after.txt
     python3 tools/same_output.py episodes > part.txt   # one part only
@@ -15,8 +15,8 @@ directory and runs this same script there and here, side by side, on the
 same parts.  It prints every label whose digest differs (or that only one
 side produced), with both sides' welfare and its relative change, and
 exits 1 on any difference, 0 when all digests match.  A last line counts
-the welfare figures (one per episode, two per game) that rose, fell or
-stayed equal, and names the worst relative fall.
+the welfare figures (one per episode and oracle value, two per game) that
+rose, fell or stayed equal, and names the worst relative fall.
 
 Parts (all by default, in this order):
 
@@ -28,6 +28,8 @@ Parts (all by default, in this order):
 - ``games``: the 296 game-audit games (criteria 2 and 3), hashing both
   solver paths' agreement arrays and welfare, the validator's verdicts
   and the ``check_core`` result of the default path's agreement.
+- ``oracle``: ``oracles.exhaustive_welfare`` on the 276 criterion-2
+  instances at their grids, hashing the ``repr`` of each value.
 
 The configs and games come from ``tests/test_acceptance.py`` and
 ``perfbench/workloads.py``; nothing here builds inputs of its own.
@@ -54,9 +56,9 @@ import numpy as np  # noqa: E402
 
 import test_acceptance as acc  # noqa: E402
 import workloads  # noqa: E402
-from fogslice import engine, game, model  # noqa: E402
+from fogslice import engine, game, model, oracles  # noqa: E402
 
-PARTS = ("episodes", "urban80", "games")
+PARTS = ("episodes", "urban80", "games", "oracle")
 BPOMDP = {"kind": "bpomdp", "depth": 2, "gamma": 0.9}
 
 
@@ -149,6 +151,11 @@ def run_parts(parts: list[str]) -> None:
     if "games" in parts:
         for idx, (family, g, _) in enumerate(workloads.audit_instances()):
             print(f"game/{idx:03d}/{family}", game_digest(g), flush=True)
+    if "oracle" in parts:
+        for idx, (family, g, grid) in enumerate(workloads.oracle_grid_instances()):
+            value = repr(oracles.exhaustive_welfare(g, grid=grid))
+            digest = hashlib.sha256(value.encode()).hexdigest()
+            print(f"oracle/{idx:03d}/{family}", digest, value, flush=True)
 
 
 def _lines(path: str) -> dict[str, tuple[str, list[float]]]:
