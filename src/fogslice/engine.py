@@ -23,6 +23,7 @@ the full battery and rely on the solver consuming only useful units.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -105,15 +106,19 @@ def _as_int(value, path: str) -> int:
 def _as_num(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"must be a number, got {value!r}")
+    if not math.isfinite(value):
+        _fail(path, f"must be finite, got {value!r}")
     return float(value)
 
 
-def _as_delay(value, path: str) -> float:
-    """A round-trip term: a number >= 0 (the solvers assume no negative delay)."""
-    delay = _as_num(value, path)
-    if not delay >= 0:
-        _fail(path, f"must be >= 0, got {delay!r}")
-    return delay
+def _nonneg(value, path: str, parse=_as_num):
+    """``parse(value, path)``, which must be >= 0: a round trip, a chain level, a count.
+
+    The sign is checked first, so NaN reads as "must be >= 0".
+    """
+    if isinstance(value, (int, float)) and not value >= 0:
+        _fail(path, f"must be >= 0, got {value!r}")
+    return parse(value, path)
 
 
 # The keys each config mapping may hold; anything else is a typo or a removed
@@ -158,21 +163,18 @@ def _chain(cfg, path: str, integer_levels: bool) -> env_mod.MarkovChainSpec:
     if not isinstance(kind, str) or kind not in CHAIN_KEYS:
         _fail(path, f"unknown chain kind {kind!r}")
     _mapping(cfg, path, CHAIN_KEYS[kind])
+    # harvest units and arrival rates are never negative
+    level = _as_int if integer_levels else _as_num
     if kind == "constant":
-        value = cfg.get("value")
-        if integer_levels:
-            value = _as_int(value, f"{path}.value")
-        else:
-            value = _as_num(value, f"{path}.value")
-        return env_mod.MarkovChainSpec.constant(value)
+        return env_mod.MarkovChainSpec.constant(_nonneg(cfg.get("value"), f"{path}.value", level))
     if kind == "uniform":
-        high = _as_int(cfg.get("max"), f"{path}.max")
-        low = _as_int(cfg.get("min", 0), f"{path}.min")
+        high = _nonneg(cfg.get("max"), f"{path}.max", _as_int)
+        low = _nonneg(cfg.get("min", 0), f"{path}.min", _as_int)
         return env_mod.uniform_harvest(high, low)
     if kind == "bursty":
         return env_mod.bursty_arrivals(
-            _as_num(cfg.get("low"), f"{path}.low"),
-            _as_num(cfg.get("high"), f"{path}.high"),
+            _nonneg(cfg.get("low"), f"{path}.low"),
+            _nonneg(cfg.get("high"), f"{path}.high"),
             _as_num(cfg.get("persistence"), f"{path}.persistence"),
         )
     if kind == "levels":
@@ -180,11 +182,11 @@ def _chain(cfg, path: str, integer_levels: bool) -> env_mod.MarkovChainSpec:
         matrix = cfg.get("transition")
         if not isinstance(levels, list) or not isinstance(matrix, list):
             _fail(path, "'levels' and 'transition' lists are required")
-        if integer_levels:
-            levels = [_as_int(v, f"{path}.levels[{i}]") for i, v in enumerate(levels)]
-        else:
-            levels = [_as_num(v, f"{path}.levels[{i}]") for i, v in enumerate(levels)]
-        return env_mod.MarkovChainSpec(tuple(levels), np.array(matrix, dtype=float))
+        levels = [_nonneg(v, f"{path}.levels[{i}]", level) for i, v in enumerate(levels)]
+        try:
+            return env_mod.MarkovChainSpec(tuple(levels), np.array(matrix, dtype=float))
+        except ValueError as exc:
+            _fail(f"{path}.transition", str(exc))
 
 
 # Image recognition and voice-to-text classes with their usual deadlines and
@@ -202,29 +204,26 @@ def _services(cfg) -> tuple[ServiceTypeSpec, ...]:
     out = []
     for i, svc in enumerate(raw):
         _mapping(svc, f"services[{i}]", SERVICE_KEYS)
+        # parsed outside the try, so a parse error keeps its own path
+        nums = {
+            key: _as_num(svc.get(key, default), f"services[{i}].{key}")
+            for key, default in (("deadline", None), ("reward", 1.0), ("unit_rate", None))
+        }
         try:
-            out.append(
-                ServiceTypeSpec(
-                    name=str(svc.get("name", f"svc{i}")),
-                    deadline=_as_num(svc.get("deadline"), f"services[{i}].deadline"),
-                    reward=_as_num(svc.get("reward", 1.0), f"services[{i}].reward"),
-                    unit_rate=_as_num(svc.get("unit_rate"), f"services[{i}].unit_rate"),
-                )
-            )
+            out.append(ServiceTypeSpec(name=str(svc.get("name", f"svc{i}")), **nums))
         except ValueError as exc:
             _fail(f"services[{i}]", str(exc))
     return tuple(out)
 
 
 def _node_spec(merged: dict, path: str) -> FogNodeSpec:
+    ints = {
+        key: _as_int(merged.get(key, default), f"{path}.{key}")
+        for key, default in (("max_units", 100), ("unit_energy", 1), ("battery_cap", 40))
+    }
+    rate_factor = _as_num(merged.get("rate_factor", 1.0), f"{path}.rate_factor")
     try:
-        return FogNodeSpec(
-            max_units=_as_int(merged.get("max_units", 100), f"{path}.max_units"),
-            unit_energy=_as_int(merged.get("unit_energy", 1), f"{path}.unit_energy"),
-            battery_cap=_as_int(merged.get("battery_cap", 40), f"{path}.battery_cap"),
-            rate_factor=_as_num(merged.get("rate_factor", 1.0), f"{path}.rate_factor"),
-            name=str(merged.get("name", "")),
-        )
+        return FogNodeSpec(**ints, rate_factor=rate_factor, name=str(merged.get("name", "")))
     except ValueError as exc:
         _fail(path, str(exc))
 
@@ -289,11 +288,12 @@ def build_config(cfg: dict) -> ExperimentConfig:
         _fail("topology.rule", f"unknown rule {rule_name!r}")
     rtt_cfg = _mapping(topo_cfg.get("rtt", {"kind": "constant"}), "topology.rtt", RTT_KEYS)
     if rtt_cfg.get("kind", "constant") == "constant":
-        rtt_rule = topo_mod.ConstantRtt(_as_delay(rtt_cfg.get("tau0", topo_mod.DEFAULT_RTT_S), "topology.rtt.tau0"))
+        tau0 = _nonneg(rtt_cfg.get("tau0", topo_mod.DEFAULT_RTT_S), "topology.rtt.tau0")
+        rtt_rule = topo_mod.ConstantRtt(tau0)
     elif rtt_cfg.get("kind") == "distance":
         rtt_rule = topo_mod.DistanceRtt(
-            base=_as_delay(rtt_cfg.get("base"), "topology.rtt.base"),
-            per_meter=_as_delay(rtt_cfg.get("per_meter"), "topology.rtt.per_meter"),
+            base=_nonneg(rtt_cfg.get("base"), "topology.rtt.base"),
+            per_meter=_nonneg(rtt_cfg.get("per_meter"), "topology.rtt.per_meter"),
         )
     else:
         _fail("topology.rtt.kind", f"unknown rtt kind {rtt_cfg.get('kind')!r}")
@@ -325,12 +325,15 @@ def build_config(cfg: dict) -> ExperimentConfig:
     kind = pol_cfg.get("kind")
     if kind not in POLICY_KINDS:
         _fail("policy.kind", f"must be one of {POLICY_KINDS}")
+    gamma = _as_num(pol_cfg.get("gamma", 0.9), "policy.gamma")
+    if not 0 <= gamma < 1:
+        _fail("policy.gamma", f"must lie in [0, 1), got {gamma!r}")
     policy = PolicySpec(
         kind=kind,
         radius=_as_num(pol_cfg["radius"], "policy.radius") if "radius" in pol_cfg else None,
-        depth=_as_int(pol_cfg.get("depth", 1), "policy.depth"),
-        gamma=_as_num(pol_cfg.get("gamma", 0.9), "policy.gamma"),
-        helper_cap=_as_int(pol_cfg.get("helper_cap", 2), "policy.helper_cap"),
+        depth=_nonneg(pol_cfg.get("depth", 1), "policy.depth", _as_int),
+        gamma=gamma,
+        helper_cap=_nonneg(pol_cfg.get("helper_cap", 2), "policy.helper_cap", _as_int),
     )
 
     sol_cfg = _mapping(cfg.get("solver", {}), "solver", SOLVER_KEYS)
@@ -433,9 +436,15 @@ class _AgentMind:
     """One node's planning model over its own chains plus neighbor-type belief.
 
     States are (battery, harvest, arrival levels) of the agent itself, fully
-    observed; actions withhold whole units from the slot's budget.  Rewards
-    imagine a one-slot game with the agent's nearest neighbors contributing
-    the spare units their believed types suggest.
+    observed, battery level outermost; actions withhold whole units from the
+    slot's budget.  The harvest and arrival chains move independently of
+    each other and of the battery, so the next (harvest, arrivals) pair
+    follows one row of the Kronecker product of their transition matrices
+    (harvest, then the arrival chains in service order), written into the
+    block of the next battery level, which the state and action fix.
+    Rewards imagine a one-slot game with the agent's nearest neighbors
+    contributing the spare units their believed types suggest; each
+    energy split and water-fill behind them is computed once per model.
     """
 
     def __init__(self, cfg: ExperimentConfig, i: int):
@@ -444,6 +453,7 @@ class _AgentMind:
         self.node = cfg.network.nodes[i]
         self.services = cfg.network.services
         self.depth = pol.depth
+        self.gamma = pol.gamma
         self.type_space = belief_mod.TypeSpace.default()
         eu = self.node.unit_energy
         dist = topo_mod.pairwise_distances(cfg.positions)
@@ -458,96 +468,66 @@ class _AgentMind:
         achains = cfg.env.arrivals[i]
         cap = self.node.battery_cap
         avecs = list(itertools.product(*(range(c.n_states) for c in achains)))
-        states = [
-            (b, h, av)
-            for b in range(cap + 1)
-            for h in range(hchain.n_states)
-            for av in avecs
-        ]
-        actions = list(range(0, cap + 1, eu))  # withheld energy
-        if len(actions) * len(states) ** 2 > _MAX_MIND_CELLS:
+        shape = (cap + 1, hchain.n_states, len(avecs))
+        self.states = list(itertools.product(range(cap + 1), range(hchain.n_states), avecs))
+        self.actions = list(range(0, cap + 1, eu))  # withheld energy
+        s_n, a_n = len(self.states), len(self.actions)
+        n_profiles = self.type_space.n_types ** len(self.helpers)
+        if max(s_n, n_profiles) * s_n * a_n > _MAX_MIND_CELLS:
             raise ConfigError(
-                f"nodes[{i}]: bpomdp local model too large "
-                f"({len(states)} states x {len(actions)} actions); reduce battery_cap "
-                "or the number of chain levels"
+                f"nodes[{i}]: bpomdp local model too large ({s_n} states x {a_n} actions "
+                f"x {n_profiles} neighbor-type profiles); reduce battery_cap, the number "
+                "of chain levels or policy.helper_cap"
             )
-        self.states = states
-        self.actions = actions
-        self.index = {s: si for si, s in enumerate(states)}
-        self._achains = achains
-        self._hchain = hchain
+        self.index = {s: si for si, s in enumerate(self.states)}
+        # per service, the helpers whose round trip leaves time to serve it
+        near = [
+            [hj for hj, tj in enumerate(self.tau) if tj < svc.deadline] for svc in self.services
+        ]
 
-        split_memo: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
+        @functools.cache
+        def split(av: tuple, avail: int) -> np.ndarray:
+            lam = [chain.levels[x] for chain, x in zip(achains, av)]
+            return solve_energy_split(self.node, self.services, lam, avail)[0]
 
-        def split_for(av, avail):
-            key = (av, avail)
-            if key not in split_memo:
-                lam = [achains[k].levels[av[k]] for k in range(len(achains))]
-                split, _ = solve_energy_split(self.node, self.services, lam, avail)
-                split_memo[key] = split
-            return split_memo[key]
-
-        self._split_for = split_for
-
-        s_n, a_n = len(states), len(actions)
-        t = np.zeros((a_n, s_n, s_n))
-        for ai, withheld in enumerate(actions):
-            for si, (b, h, av) in enumerate(states):
-                avail = max(b - withheld, 0)
-                consumed = int(split_for(av, avail).sum())
-                b_next = min(cap, b - consumed + int(hchain.levels[h]))
-                for h2 in range(hchain.n_states):
-                    ph = hchain.transition[h, h2]
-                    if ph <= 0:
-                        continue
-                    for av2 in avecs:
-                        pa = 1.0
-                        for k, chain in enumerate(achains):
-                            pa *= chain.transition[av[k], av2[k]]
-                        if pa <= 0:
-                            continue
-                        t[ai, si, self.index[(b_next, h2, av2)]] += ph * pa
-        self._transition = t
-        self.gamma = pol.gamma
-        self._profiles = belief_mod.enumerate_profiles(
-            len(self.helpers), self.type_space.n_types
-        )
-        self._reward_profiles = self._build_reward_profiles()
-
-    def _imagined_reward(self, av, avail, profile) -> float:
-        """Own slot payoff if committing ``avail`` with helpers of these types."""
-        split = self._split_for(av, avail)
-        total = 0.0
-        for k, svc in enumerate(self.services):
-            lam = float(self._achains[k].levels[av[k]])
-            if lam <= 0:
-                continue
-            w = svc.unit_rate * self.node.rate_factor
-            caps = [capacity(w, int(split[k]), self.node.unit_energy)]
-            taus = [0.0]
-            for hj, tj in enumerate(profile):
-                if self.tau[hj] >= svc.deadline:
-                    continue
+        @functools.cache
+        def share(k: int, lam: float, units: int, types: tuple) -> float:
+            svc = self.services[k]
+            caps = [capacity(svc.unit_rate * self.node.rate_factor, units, eu)]
+            for hj, tj in zip(near[k], types):
                 spare = self.type_space.spare_units[tj]
                 caps.append(svc.unit_rate * self.helper_nodes[hj].rate_factor * spare)
-                taus.append(self.tau[hj])
-            caps = np.array(caps, dtype=float)
-            taus = np.array(taus, dtype=float)
-            total += svc.reward * lam * lone_sender_share(taus, caps, lam, svc.deadline)
-        return total
+            taus = [0.0] + [self.tau[hj] for hj in near[k]]
+            caps, taus = np.array(caps, dtype=float), np.array(taus, dtype=float)
+            return lone_sender_share(taus, caps, lam, svc.deadline)
 
-    def _build_reward_profiles(self) -> np.ndarray:
-        memo: dict[tuple, float] = {}
-        out = np.zeros((len(self._profiles), len(self.states), len(self.actions)))
-        for pi, profile in enumerate(self._profiles):
-            for si, (b, h, av) in enumerate(self.states):
-                for ai, withheld in enumerate(self.actions):
-                    avail = max(b - withheld, 0)
-                    key = (profile, av, avail)
-                    if key not in memo:
-                        memo[key] = self._imagined_reward(av, avail, profile)
-                    out[pi, si, ai] = memo[key]
-        return out
+        def payoff(profile: tuple, av: tuple, avail: int) -> float:
+            """Own slot payoff if committing ``avail`` with helpers of these types."""
+            total = 0.0
+            for k, svc in enumerate(self.services):
+                lam = float(achains[k].levels[av[k]])
+                if lam > 0:
+                    types = tuple(profile[hj] for hj in near[k])
+                    total += svc.reward * lam * share(k, lam, int(split(av, avail)[k]), types)
+            return total
+
+        b, h, ar = np.unravel_index(np.arange(s_n), shape)
+        avail = np.maximum(b[:, None] - np.array(self.actions), 0)  # (state, action)
+        budgets = range(cap + 1)
+        used = np.array([[int(split(av, u).sum()) for u in budgets] for av in avecs])
+        harvest = np.array([int(x) for x in hchain.levels])
+        # in [0, cap]: a split never exceeds its budget and harvest levels are >= 0
+        b_next = np.minimum(cap, b[:, None] - used[ar[:, None], avail] + harvest[h][:, None])
+        arrivals = functools.reduce(np.kron, [c.transition for c in achains])
+        chains = np.kron(hchain.transition, arrivals).reshape(shape[1:] * 2)
+        t = np.zeros((a_n, s_n, cap + 1, *shape[1:]))
+        t[np.arange(a_n)[:, None], np.arange(s_n), b_next.T] = chains[h, ar]
+        self._transition = t.reshape(a_n, s_n, s_n)
+        self._profiles = belief_mod.enumerate_profiles(len(self.helpers), self.type_space.n_types)
+        payoffs = np.array(
+            [[[payoff(p, av, u) for u in budgets] for av in avecs] for p in self._profiles]
+        )
+        self._reward_profiles = payoffs[:, ar[:, None], avail]  # (profile, state, action)
 
     def choose_budget(self, state: env_mod.EnvState) -> int:
         own = (

@@ -40,9 +40,10 @@ class MarkovChainSpec:
         n = len(self.levels)
         if trans.shape != (n, n):
             raise ValueError(f"transition must be {n}x{n}, got {trans.shape}")
-        if np.any(trans < 0):
+        # written so that NaN fails both tests
+        if not np.all(trans >= 0):
             raise ValueError("transition entries must be >= 0")
-        if np.any(np.abs(trans.sum(axis=1) - 1.0) > ROW_TOL):
+        if not np.all(np.abs(trans.sum(axis=1) - 1.0) <= ROW_TOL):
             raise ValueError("transition rows must sum to 1")
         trans.setflags(write=False)
         object.__setattr__(self, "transition", trans)
@@ -103,6 +104,7 @@ class EnvironmentSpec:
     ``arrivals[i][k]`` drives node i's type-k workload.  In backlogged mode
     arrival chains are pinned at their maximum level: there is always work
     waiting, and work not served within a slot is dropped, not queued.
+    Every harvest and arrival level is >= 0.
     """
 
     harvest: tuple[MarkovChainSpec, ...]
@@ -113,6 +115,9 @@ class EnvironmentSpec:
     def __post_init__(self):
         if len(self.arrivals) != len(self.harvest) or len(self.battery_cap) != len(self.harvest):
             raise ValueError("harvest, arrivals and battery_cap must align per node")
+        chains = [*self.harvest, *(c for node in self.arrivals for c in node)]
+        if not all(level >= 0 for chain in chains for level in chain.levels):
+            raise ValueError("harvest and arrival levels must be >= 0")
 
     @property
     def n_nodes(self) -> int:

@@ -38,12 +38,13 @@ class ServiceTypeSpec:
     unit_rate: float
 
     def __post_init__(self):
-        if self.deadline <= 0:
-            raise ValueError(f"service {self.name!r}: deadline must be > 0")
-        if self.reward < 0:
-            raise ValueError(f"service {self.name!r}: reward must be >= 0")
-        if self.unit_rate <= 0:
-            raise ValueError(f"service {self.name!r}: unit_rate must be > 0")
+        # written so that NaN fails each test
+        if not 0 < self.deadline < np.inf:
+            raise ValueError(f"service {self.name!r}: deadline must be finite and > 0")
+        if not 0 <= self.reward < np.inf:
+            raise ValueError(f"service {self.name!r}: reward must be finite and >= 0")
+        if not 0 < self.unit_rate < np.inf:
+            raise ValueError(f"service {self.name!r}: unit_rate must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,8 @@ class FogNodeSpec:
             raise ValueError("max_units and unit_energy must be positive")
         if self.battery_cap < 0:
             raise ValueError("battery_cap must be >= 0")
-        if self.rate_factor <= 0:
-            raise ValueError("rate_factor must be > 0")
+        if not 0 < self.rate_factor < np.inf:
+            raise ValueError("rate_factor must be finite and > 0")
 
 
 @dataclass(frozen=True)

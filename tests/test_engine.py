@@ -1,5 +1,7 @@
 """Episode engine: config validation, physics invariants, reports, CLI."""
 
+import itertools
+
 import numpy as np
 import pytest
 import yaml
@@ -21,9 +23,10 @@ from fogslice.engine import (
     weak_components,
 )
 from fogslice.env import EnvState
-from fogslice.game import solve_social_welfare
+from fogslice.game import lone_sender_share, solve_energy_split, solve_social_welfare
 from fogslice.model import Violation
 from fogslice.oracles import value_iteration
+from fogslice.queueing import capacity
 
 from conftest import base_engine_config
 from test_acceptance import scarcity_config
@@ -113,6 +116,89 @@ class TestBuildConfig:
             (
                 lambda c: c["defaults"].update(harvest={"kind": "constant", "value": 2.5}),
                 "harvest",
+            ),
+            # policy values that would build but mean nothing
+            (lambda c: c["policy"].update(depth=-3), "policy.depth: must be >= 0"),
+            (lambda c: c["policy"].update(helper_cap=-1), "policy.helper_cap: must be >= 0"),
+            (lambda c: c["policy"].update(gamma=1.5), "policy.gamma: must lie in [0, 1)"),
+            (lambda c: c["policy"].update(gamma=1.0), "policy.gamma: must lie in [0, 1)"),
+            (lambda c: c["policy"].update(gamma=-0.1), "policy.gamma: must lie in [0, 1)"),
+            (lambda c: c["policy"].update(gamma=float("nan")), "policy.gamma: must be finite"),
+            # negative chain levels
+            (
+                lambda c: c["defaults"].update(harvest={"kind": "constant", "value": -1}),
+                "nodes[0].harvest.value: must be >= 0",
+            ),
+            (
+                lambda c: c["defaults"].update(harvest={"kind": "uniform", "max": 2, "min": -1}),
+                "nodes[0].harvest.min: must be >= 0",
+            ),
+            (
+                lambda c: c["nodes"][1].update(arrivals=[{"kind": "constant", "value": -5.0}]),
+                "nodes[1].arrivals[0].value: must be >= 0",
+            ),
+            (
+                lambda c: c["nodes"][0].update(
+                    arrivals=[{"kind": "bursty", "low": -2.0, "high": 20.0, "persistence": 0.7}]
+                ),
+                "nodes[0].arrivals[0].low: must be >= 0",
+            ),
+            (
+                lambda c: c["nodes"][0].update(
+                    harvest={"kind": "levels", "levels": [0, -1], "transition": [[1, 0], [0, 1]]}
+                ),
+                "nodes[0].harvest.levels[1]: must be >= 0",
+            ),
+            # non-finite numbers
+            (
+                lambda c: c["services"][0].update(deadline=float("nan")),
+                "services[0].deadline: must be finite",
+            ),
+            (
+                lambda c: c["services"][0].update(reward=float("nan")),
+                "services[0].reward: must be finite",
+            ),
+            (
+                lambda c: c["services"][0].update(unit_rate=float("inf")),
+                "services[0].unit_rate: must be finite",
+            ),
+            (
+                lambda c: c["defaults"]["node"].update(rate_factor=float("nan")),
+                "nodes[0].rate_factor: must be finite",
+            ),
+            (
+                lambda c: c["nodes"][0].update(
+                    arrivals=[
+                        {
+                            "kind": "levels",
+                            "levels": [5.0, float("nan")],
+                            "transition": [[1, 0], [0, 1]],
+                        }
+                    ]
+                ),
+                "nodes[0].arrivals[0].levels[1]: must be >= 0",
+            ),
+            (
+                lambda c: c["nodes"][0].update(
+                    arrivals=[
+                        {"kind": "levels", "levels": [5.0, 9.0], "transition": [[0.5, 0.4], [0, 1]]}
+                    ]
+                ),
+                "nodes[0].arrivals[0].transition: transition rows must sum to 1",
+            ),
+            (
+                lambda c: c["defaults"].update(
+                    harvest={
+                        "kind": "levels",
+                        "levels": [0, 1],
+                        "transition": [[float("nan"), float("nan")], [0, 1]],
+                    }
+                ),
+                "nodes[0].harvest.transition: transition entries must be >= 0",
+            ),
+            (
+                lambda c: c["nodes"][0].update(position=[float("-inf"), 0.0]),
+                "nodes[0].position[0]: must be finite",
             ),
         ],
     )
@@ -335,6 +421,135 @@ class TestEpisodePhysics:
             chosen = mind.actions.index(b - budget)
             assert q[si, chosen] >= q[si].max() - 1e-9
 
+
+# Chains on which the order of the Kronecker factors changes bits:
+# kron(kron(H, A1), A2) and kron(H, kron(A1, A2)) differ in 20 of 64 cells.
+H = [[0.7, 0.3], [0.4, 0.6]]
+A1 = [[0.7, 0.3], [0.3, 0.7]]
+A2 = [[0.6, 0.4], [0.45, 0.55]]
+
+
+def chained_mind_config():
+    """Node 0 with two-level harvest and arrival chains and two helpers.
+
+    Round trips are 5 ms + 0.5 ms/m: the helper at 40 m (25 ms) can serve
+    both services, the one at 100 m (55 ms) only voice (deadline 100 ms),
+    not image (50 ms).  Two energy units per processing unit leave odd
+    budgets that activate nothing more than the even one below them.
+    """
+    return base_engine_config(
+        services=[
+            {"name": "image", "deadline": 0.05, "reward": 1.0, "unit_rate": 10.0},
+            {"name": "voice", "deadline": 0.1, "reward": 2.0, "unit_rate": 40.0},
+        ],
+        defaults={
+            "node": {"max_units": 3, "unit_energy": 2, "battery_cap": 5},
+            "harvest": {"kind": "levels", "levels": [1, 3], "transition": H},
+            "arrivals": [
+                {"kind": "levels", "levels": [2.0, 20.0], "transition": A1},
+                {"kind": "levels", "levels": [5.0, 40.0], "transition": A2},
+            ],
+        },
+        nodes=[
+            {"position": [0.0, 0.0], "battery_init": 5},
+            {"position": [40.0, 0.0], "battery_init": 5},
+            {"position": [0.0, 100.0], "battery_init": 5, "rate_factor": 1.5},
+        ],
+        topology={
+            "rule": "radius",
+            "radius": 150.0,
+            "rtt": {"kind": "distance", "base": 0.005, "per_meter": 5e-4},
+        },
+        policy={"kind": "bpomdp", "depth": 1, "gamma": 0.9, "helper_cap": 2},
+    )
+
+
+def reference_mind_tensors(cfg, mind):
+    """The agent model's transition and reward tensors, one cell at a time.
+
+    Each next-state probability is the harvest step times the arrival steps
+    multiplied in service order, and each reward sums its services in order.
+    """
+    i, node = mind.i, mind.node
+    hchain, achains = cfg.env.harvest[i], cfg.env.arrivals[i]
+    cap = node.battery_cap
+    avecs = list(itertools.product(*(range(c.n_states) for c in achains)))
+    states = [(b, h, av) for b in range(cap + 1) for h in range(hchain.n_states) for av in avecs]
+    assert mind.states == states
+    index = {s: si for si, s in enumerate(states)}
+
+    def split(av, avail):
+        lam = [achains[k].levels[av[k]] for k in range(len(achains))]
+        return solve_energy_split(node, mind.services, lam, avail)[0]
+
+    t = np.zeros((len(mind.actions), len(states), len(states)))
+    for ai, withheld in enumerate(mind.actions):
+        for si, (b, h, av) in enumerate(states):
+            consumed = int(split(av, max(b - withheld, 0)).sum())
+            b_next = min(cap, b - consumed + int(hchain.levels[h]))
+            for h2 in range(hchain.n_states):
+                for av2 in avecs:
+                    pa = 1.0
+                    for k, chain in enumerate(achains):
+                        pa *= chain.transition[av[k], av2[k]]
+                    t[ai, si, index[(b_next, h2, av2)]] += hchain.transition[h, h2] * pa
+    r = np.zeros((len(mind._profiles), len(states), len(mind.actions)))
+    for pi, profile in enumerate(mind._profiles):
+        for si, (b, h, av) in enumerate(states):
+            for ai, withheld in enumerate(mind.actions):
+                energy = split(av, max(b - withheld, 0))
+                for k, svc in enumerate(mind.services):
+                    lam = float(achains[k].levels[av[k]])
+                    if lam <= 0:
+                        continue
+                    w = svc.unit_rate * node.rate_factor
+                    caps = [capacity(w, int(energy[k]), node.unit_energy)]
+                    taus = [0.0]
+                    for hj, tj in enumerate(profile):
+                        if mind.tau[hj] >= svc.deadline:
+                            continue
+                        spare = mind.type_space.spare_units[tj]
+                        caps.append(svc.unit_rate * mind.helper_nodes[hj].rate_factor * spare)
+                        taus.append(mind.tau[hj])
+                    share = lone_sender_share(np.array(taus), np.array(caps), lam, svc.deadline)
+                    r[pi, si, ai] += svc.reward * lam * share
+    return t, r
+
+
+class TestAgentMind:
+    def test_tensors_match_cell_by_cell_reference(self):
+        assert not np.array_equal(
+            np.kron(np.kron(H, A1), A2), np.kron(H, np.kron(A1, A2))
+        ), "the chains must make the factor order matter"
+        cfg = build_config(chained_mind_config())
+        mind = engine._AgentMind(cfg, 0)
+        assert mind.helpers == [1, 2]
+        assert mind.tau[0] < 0.05 <= mind.tau[1] < 0.1
+        t, r = reference_mind_tensors(cfg, mind)
+        assert mind._transition.shape == t.shape and mind._transition.dtype == t.dtype
+        assert mind._transition.tobytes() == t.tobytes()
+        assert mind._reward_profiles.shape == r.shape and mind._reward_profiles.dtype == r.dtype
+        assert mind._reward_profiles.tobytes() == r.tobytes()
+        assert np.allclose(t.sum(axis=2), 1.0)
+
+    def test_size_guard_counts_reward_cells_before_profiles(self, monkeypatch):
+        # battery_cap 0: 8 states and 1 action make 64 transition cells but
+        # 9 profiles x 8 states = 72 reward cells
+        raw = chained_mind_config()
+        raw["defaults"]["node"]["battery_cap"] = 0
+        for node in raw["nodes"]:
+            node["battery_init"] = 0
+        cfg = build_config(raw)
+        monkeypatch.setattr(engine, "_MAX_MIND_CELLS", 72)
+        assert engine._AgentMind(cfg, 0)._reward_profiles.shape == (9, 8, 1)
+
+        def no_profiles(*args):
+            raise AssertionError("profiles enumerated before the size check")
+
+        monkeypatch.setattr(engine, "_MAX_MIND_CELLS", 71)
+        monkeypatch.setattr(engine.belief_mod, "enumerate_profiles", no_profiles)
+        with pytest.raises(ConfigError, match=r"8 states x 1 actions x 9 neighbor-type profiles"):
+            engine._AgentMind(cfg, 0)
 
 def repeating_components_config(slots=30):
     """A three-node chain and two far loners, two services.

@@ -34,6 +34,21 @@ class TestChains:
             MarkovChainSpec(levels=(1.0, 2.0), transition=np.array([[0.5, 0.4], [0.5, 0.5]]))
         with pytest.raises(ValueError):
             MarkovChainSpec(levels=(1.0, 2.0), transition=np.array([[1.1, -0.1], [0.5, 0.5]]))
+        with pytest.raises(ValueError, match="must be >= 0"):
+            MarkovChainSpec(levels=(1.0, 2.0), transition=np.array([[np.nan, np.nan], [0.5, 0.5]]))
+
+    @pytest.mark.parametrize(
+        "harvest, arrivals",
+        [
+            (MarkovChainSpec.constant(-1.0), None),
+            (None, MarkovChainSpec(levels=(5.0, -0.5), transition=np.eye(2))),
+            (None, MarkovChainSpec.constant(float("nan"))),
+        ],
+        ids=["negative-harvest", "negative-arrival", "nan-arrival"],
+    )
+    def test_environment_rejects_negative_levels(self, harvest, arrivals):
+        with pytest.raises(ValueError, match="levels must be >= 0"):
+            single_node_env(harvest=harvest, arrivals=arrivals)
 
     def test_stationary_of_two_state_chain(self):
         chain = MarkovChainSpec(

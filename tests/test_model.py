@@ -115,6 +115,18 @@ class TestSpecTypes:
         with pytest.raises(ValueError):
             ServiceTypeSpec(name="x", deadline=0.1, reward=1.0, unit_rate=0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_service_rejects_non_finite_params(self, bad):
+        for field in ("deadline", "reward", "unit_rate"):
+            params = {"deadline": 0.1, "reward": 1.0, "unit_rate": 10.0, field: bad}
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                ServiceTypeSpec(name="x", **params)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_node_rejects_bad_rate_factor(self, bad):
+        with pytest.raises(ValueError, match="rate_factor must be finite and > 0"):
+            FogNodeSpec(max_units=2, unit_energy=1, battery_cap=10, rate_factor=bad)
+
     def test_node_requires_integer_fields(self):
         with pytest.raises(ValueError):
             FogNodeSpec(max_units=2.5, unit_energy=1, battery_cap=10)

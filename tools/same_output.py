@@ -1,10 +1,11 @@
-"""Print one sha256 and the welfare per run over fixed episodes, games and oracle calls.
+"""Print a sha256 and the welfare per run: episodes, games, oracle calls, agent models.
 
 Each line is ``label digest welfare...``: an episode's total welfare, a
 game's welfare on the default path and then on the heuristic path, or an
-oracle value, each printed with ``repr``.  Identical digests in two
-checkouts mean that every report, agreement, welfare value, core-check
-result and oracle value came out byte for byte the same.
+oracle value, each printed with ``repr``; agent-model lines carry no
+welfare.  Identical digests in two checkouts mean that every report,
+agreement, welfare value, core-check result, oracle value and bpomdp
+model tensor came out byte for byte the same.
 
     python3 tools/same_output.py > after.txt
     python3 tools/same_output.py episodes > part.txt   # one part only
@@ -30,9 +31,13 @@ Parts (all by default, in this order):
   and the ``check_core`` result of the default path's agreement.
 - ``oracle``: ``oracles.exhaustive_welfare`` on the 276 criterion-2
   instances at their grids, hashing the ``repr`` of each value.
+- ``minds``: the bpomdp agent model of each of urban80's 80 nodes, hashing
+  its transition and reward tensors.  The nodes get two-level harvest and
+  arrival chains on which the order of the Kronecker factors changes bits
+  (see ``MIND_CHAINS``); urban80's own chains would not show it.
 
 The configs and games come from ``tests/test_acceptance.py`` and
-``perfbench/workloads.py``; nothing here builds inputs of its own.
+``perfbench/workloads.py``; only ``MIND_CHAINS`` is defined here.
 """
 
 from __future__ import annotations
@@ -58,8 +63,16 @@ import test_acceptance as acc  # noqa: E402
 import workloads  # noqa: E402
 from fogslice import engine, game, model, oracles  # noqa: E402
 
-PARTS = ("episodes", "urban80", "games", "oracle")
+PARTS = ("episodes", "urban80", "games", "oracle", "minds")
 BPOMDP = {"kind": "bpomdp", "depth": 2, "gamma": 0.9}
+# kron(kron(H, A1), A2) and kron(H, kron(A1, A2)) differ in 20 of these 64 cells
+MIND_CHAINS = {
+    "harvest": {"kind": "levels", "levels": [1, 3], "transition": [[0.7, 0.3], [0.4, 0.6]]},
+    "arrivals": [
+        {"kind": "levels", "levels": [2.0, 20.0], "transition": [[0.7, 0.3], [0.3, 0.7]]},
+        {"kind": "levels", "levels": [5.0, 40.0], "transition": [[0.6, 0.4], [0.45, 0.55]]},
+    ],
+}
 
 
 def _sweep(cfg: dict, axis: str, values, reps: int = 20):
@@ -156,6 +169,16 @@ def run_parts(parts: list[str]) -> None:
             value = repr(oracles.exhaustive_welfare(g, grid=grid))
             digest = hashlib.sha256(value.encode()).hexdigest()
             print(f"oracle/{idx:03d}/{family}", digest, value, flush=True)
+    if "minds" in parts:
+        raw = workloads.urban80_config(0)
+        raw["defaults"].update(MIND_CHAINS)
+        raw["policy"] = dict(BPOMDP)
+        cfg = engine.build_config(raw)
+        for i in range(cfg.network.n_nodes):
+            mind = engine._AgentMind(cfg, i)
+            h = hashlib.sha256()
+            _arrays(h, mind._transition, mind._reward_profiles)
+            print(f"mind/{i:02d}", h.hexdigest(), flush=True)
 
 
 def _lines(path: str) -> dict[str, tuple[str, list[float]]]:
