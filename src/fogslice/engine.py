@@ -170,13 +170,18 @@ def _chain(cfg, path: str, integer_levels: bool) -> env_mod.MarkovChainSpec:
     if kind == "uniform":
         high = _nonneg(cfg.get("max"), f"{path}.max", _as_int)
         low = _nonneg(cfg.get("min", 0), f"{path}.min", _as_int)
-        return env_mod.uniform_harvest(high, low)
+        try:
+            return env_mod.uniform_harvest(high, low)
+        except ValueError as exc:
+            _fail(f"{path}.max", str(exc))
     if kind == "bursty":
-        return env_mod.bursty_arrivals(
-            _nonneg(cfg.get("low"), f"{path}.low"),
-            _nonneg(cfg.get("high"), f"{path}.high"),
-            _as_num(cfg.get("persistence"), f"{path}.persistence"),
-        )
+        low = _nonneg(cfg.get("low"), f"{path}.low")
+        high = _nonneg(cfg.get("high"), f"{path}.high")
+        persistence = _as_num(cfg.get("persistence"), f"{path}.persistence")
+        try:
+            return env_mod.bursty_arrivals(low, high, persistence)
+        except ValueError as exc:
+            _fail(f"{path}.persistence", str(exc))
     if kind == "levels":
         levels = cfg.get("levels")
         matrix = cfg.get("transition")

@@ -36,7 +36,8 @@ class MarkovChainSpec:
     transition: np.ndarray
 
     def __post_init__(self):
-        trans = np.asarray(self.transition, dtype=float)
+        # a copy: freezing the caller's own matrix would make it read-only
+        trans = np.array(self.transition, dtype=float)
         n = len(self.levels)
         if trans.shape != (n, n):
             raise ValueError(f"transition must be {n}x{n}, got {trans.shape}")

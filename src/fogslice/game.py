@@ -17,9 +17,13 @@ bisection ends on.  Because round trips are non-negative, the bisection's
 pass/fail verdict is monotone in the price even in floating point, so a few
 safeguarded Newton probes answer nearly all of its steps, and the result is
 the bisection's to the last bit.  Every stage that backs off along a segment
-to stay feasible finds its step with one search, ``_last_feasible``.  A
-grid-search oracle (oracles module) backstops the whole pipeline on desk-size
-instances.
+to stay feasible finds its step with one bisection, ``_last_feasible``.  The
+constraints a move touches are convex along its segment, so
+``_SliceWork.step_bracket`` finds, constraint by constraint, where the first
+of them gives out, and the bisection checks only the mids within a float
+margin of that step: the verdicts of the others are known, and the step is
+the full bisection's to the last bit.  A grid-search oracle (oracles module)
+backstops the whole pipeline on desk-size instances.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import FogNodeSpec, NetworkSpec, ServiceTypeSpec, SlicingAgreement
-from .queueing import capacity, optimal_local_fraction, response_times
+from .queueing import SATURATION_TOL, capacity, optimal_local_fraction, response_times
 
 # Destinations always keep this much residual capacity (requests/s); far above
 # the 1e-9 saturation tolerance, far below any economically relevant load.
@@ -412,6 +416,7 @@ class _SliceWork:
         self.allowed = instance.allowed()
         self.theta = instance.service.deadline
         self.senders = [i for i in range(self.n) if self.lam[i] > 0]
+        self.is_sender = self.lam > 0
 
     def welfare(self, alpha):
         # served requests only; the reward rate is applied after the solve
@@ -434,29 +439,188 @@ class _SliceWork:
         if used.any():
             worst = float(np.max(loads[used] - (self.caps[used] - RESIDUAL_FLOOR / 2)))
         pis = response_times(alpha, self.lam, self.caps, self.tau)
-        for i in self.senders:
-            if rows[i] > 0:
-                worst = max(worst, (pis[i] - self.theta) / max(self.theta, 1e-9))
+        late = (pis[self.is_sender & (rows > 0)] - self.theta) / max(self.theta, 1e-9)
+        # fmax skips a NaN response the way a running max() does
+        worst = float(np.fmax.reduce(late, initial=worst))
         return max(worst, top - 1.0)
 
     def feasible(self, alpha) -> bool:
         return self.max_violation(alpha) <= FEAS_TOL
 
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
+    def step_bracket(self, start, delta, hi: float):
+        """Steps of the segment start + s*delta, 0 <= s <= hi, whose verdict is known.
 
-def _last_feasible(feasible, hi: float, steps: int) -> float:
+        Returns (good, bad): ``feasible`` fails at every step in [bad, hi] and,
+        if good > 0, passes at every step in [good/2, good], the caller's own
+        rounding of start + s*delta included.  ``_last_feasible`` may take
+        those verdicts without a check: a bisection of [0, hi] takes a pass
+        below good only above good/2.  (0, inf) claims nothing.  Shares are
+        assumed non-negative along the segment, as every caller's are.
+
+        Only the constraints the move touches are read.  Every other one is
+        computed from the same bits at every step, so the check of the start
+        decides it for the whole segment.  Each touched one applies
+        ``max_violation``'s rule and is convex in s:
+        - a capacity row holds its load, affine in s, to max(1e-12,
+          c - RESIDUAL_FLOOR/2 + FEAS_TOL): its ``used`` test folded in;
+        - a row total, affine in s, is held to 1 + FEAS_TOL;
+        - a deadline row holds sum a (tau + 1/r) to theta + FEAS_TOL *
+          max(theta, 1e-9), with a and r affine in s.  Up to the capacity
+          row's root r > 0, so ``SATURATION_TOL`` only acts on a queue with
+          no capacity, where the first positive share fails.  A row at total
+          0 has no response and none to hold.
+        With the start passing, each holds from 0 to its first root: closed
+        form for the affine rows, a safeguarded Newton iteration for the
+        deadlines.  Near the first root of all, a verdict counts as known
+        where the value clears its threshold by 4 E.  E bounds the rounding
+        of ``max_violation``'s arithmetic, and twice E also covers this
+        evaluation's own: a sum of n terms rounds by at most n + 4 units u
+        of its magnitude (u the unit roundoff), and a deadline adds 2 a dr /
+        r^2 per queue, dr the rounding of its residual r.  That is checked at
+        bad, past which the failing constraint keeps rising, and over
+        [good/2, good], where convexity bounds each constraint by its ends.
+        """
+        senders = self.is_sender
+        moves = (delta[senders] != 0).any(axis=0)  # queues whose load moves
+        idle = moves & (self.caps <= 2 * SATURATION_TOL)
+        if idle.any():
+            # a queue with no residual: the first positive share on it fails
+            into = delta[senders][:, idle]
+            if np.all(self.caps[idle] <= SATURATION_TOL) and np.all(into >= 0):
+                return 0.0, 4 * math.ulp(0.0) / float(into.max())
+            return 0.0, math.inf
+        if not (np.isfinite(delta).all() and self.feasible(start)):
+            return 0.0, math.inf
+        n, lam, caps, u, margin = self.n, self.lam, self.caps, np.finfo(float).eps / 2, 4.0
+        rows = (delta != 0).any(axis=1)
+        touched = senders & (rows | ((start > 0) & moves).any(axis=1))
+        # the queues a touched sender uses or moves onto
+        used = ((start[touched] > 0) | (delta[touched] != 0)).any(axis=0)
+        pick = np.ix_(touched, used)
+        a0, da = start[pick], delta[pick]
+        mine = (a0 != 0) | (da != 0)
+        tau = np.where(mine, self.tau[pick], 0.0)  # a round trip never taken may be inf
+        if not np.isfinite(tau).all():
+            return 0.0, math.inf
+        load0, dload = start.T @ lam, delta.T @ lam
+        mag0, dmag = np.abs(start).T @ lam, np.abs(delta).T @ lam
+        r0, dl = caps[used] - load0[used], dload[used]
+        # rounding of a residual: (n + 2) u of its load's magnitude, u of itself
+        rnd0, rnd1 = (n + 2) * u * mag0[used], (n + 2) * u * dmag[used]
+        ua0, u2da = u * np.abs(a0), 2 * u * np.abs(da)
+        # the affine rows, moving capacity rows then moving row totals: v0 + s vk
+        # against thr, with rounding bound e0 + s ek
+        cap_thr = np.maximum(1e-12, caps[moves] - RESIDUAL_FLOOR / 2 + FEAS_TOL)
+        v0 = np.concatenate([load0[moves], start[rows].sum(axis=1)])
+        vk = np.concatenate([dload[moves], delta[rows].sum(axis=1)])
+        thr = np.concatenate([cap_thr, np.full(int(rows.sum()), 1.0 + FEAS_TOL)])
+        e0 = (n + 2) * u * np.concatenate(
+            [mag0[moves] + caps[moves] + cap_thr, np.abs(start[rows]).sum(axis=1) + 1.0]
+        )
+        ek = (n + 2) * u * np.concatenate([dmag[moves], np.abs(delta[rows]).sum(axis=1)])
+        late = self.theta + FEAS_TOL * max(self.theta, 1e-9)
+
+        def at(*steps):
+            """Touched senders' responses and their slopes, each (len(steps), senders)."""
+            s = np.array(steps)[:, None, None]
+            a, r = a0 + s * da, r0 - s * dl
+            inv = 1.0 / r
+            wait = tau + inv
+            return s, a, r, inv, (a * wait).sum(axis=-1), (da * wait + a * dl * inv * inv).sum(axis=-1)
+
+        def measure(*steps):
+            """Each touched constraint's excess and slope at each step, and one rounding
+            bound for all steps between the first and the last."""
+            s, a, r, inv, pi, slope = at(*steps)
+            # the share, the load and the residual are affine in s: each
+            # term of the bound peaks at one end
+            dr = (rnd0 + s * rnd1 + u * np.abs(r)).max(axis=0)
+            top = np.abs(inv).max(axis=0)
+            err = 2 * np.abs(a).max(axis=0) * dr * top * top + (ua0 + s[-1] * u2da) * (tau + 2 * top)
+            err = err.sum(axis=-1) + (n + 4) * u * pi.max(axis=0)
+            # too near saturation to bound
+            err[(mine & (2 * dr >= r.min(axis=0))).any(axis=-1)] = np.inf
+            line = v0 + s[:, :, 0] * vk
+            return (
+                np.concatenate([line - thr, pi - late], axis=1),
+                np.concatenate([e0 + s[-1, 0] * ek, err]),
+                np.concatenate([np.broadcast_to(vk, line.shape), slope], axis=1),
+            )
+
+        roots = np.where(vk > 0, (thr - v0) / vk, np.inf)
+        first = min(hi, max(float(roots.min(initial=np.inf)), 0.0))
+        # below ``first`` every residual stays positive; find the deadlines' first root
+        _, _, r, _, pi, slope = at(first)
+        if pi.size and pi.max() > late:
+            left, right, step = 0.0, first, first
+            for _ in range(64):
+                j = int(pi[0].argmax())
+                excess, rate = float(pi[0, j]) - late, float(slope[0, j])
+                if excess > 0:
+                    right = step
+                else:
+                    left = step
+                if abs(excess) <= 2**-30 * late or right - left <= 2**-40 * right:
+                    break
+                # Newton on the excess times the residual of the sender's
+                # nearest filling queue: linear in s for one queue's a / r, so
+                # it stays quick next to that queue's pole
+                resid = np.where(mine[j] & (dl > 0), r[0, 0], np.inf)
+                m = int(resid.argmin())
+                rm, dm = (float(resid[m]), float(dl[m])) if resid[m] < np.inf else (1.0, 0.0)
+                guess = step - excess * rm / (rate * rm - excess * dm)
+                if guess <= left == 0.0:
+                    right = 0.0  # the root is at the start
+                    break
+                step = guess if left < guess < right else 0.5 * (left + right)
+                _, _, r, _, pi, slope = at(step)
+            first = min(max(step - excess / rate, left), right) if rate > 0 else right
+
+        # step off the root by 4 E over each rising constraint's slope, then
+        # check the claims, widening a side that does not hold
+        excess, bound, slope = measure(first)
+        excess, slope = excess[0], slope[0]
+        rising = slope > 0
+        tiny = 4 * math.ulp(first)
+        to_fail = float(np.where(rising, (margin * bound - excess) / slope, np.inf).min(initial=np.inf))
+        to_pass = float(np.where(rising, (excess + margin * bound) / slope, 0.0).max(initial=0.0))
+        to_fail, to_pass = max(to_fail, 0.0) + tiny, max(to_pass, 0.0)
+        good, bad, want_good, want_bad = 0.0, math.inf, True, first < hi
+        for _ in range(3):
+            down, up = first - 2 * to_pass, first + 2 * to_fail
+            want_good = want_good and down > 0
+            steps = ((down / 2, down) if want_good else ()) + ((up,) if want_bad else ())
+            if not steps:
+                break
+            excess, bound, slope = measure(*steps)
+            if want_good and np.all(excess[:2].max(axis=0) + margin * bound <= 0):
+                good, want_good = down, False
+            if want_bad and np.any((excess[-1] > margin * bound) & (slope[-1] > 0)):
+                bad, want_bad = up, False
+            to_pass, to_fail = 16 * to_pass + tiny, 16 * to_fail
+        return good, bad
+
+
+def _last_feasible(feasible, hi: float, steps: int, good: float = 0.0, bad: float = math.inf) -> float:
     """The lo a ``steps``-step bisection of [0, hi] on ``feasible`` ends on.
 
     Each step tests mid = (lo + hi) / 2 and moves lo up on a pass, hi down
     on a fail.  Once mid equals lo, or an hi the loop itself saw fail, every
     later step repeats a verdict, so the loop stops there with the same lo
     for any deterministic ``feasible``.  The given hi is never assumed to fail.
+
+    ``feasible`` runs only on mids strictly between ``good`` and ``bad``; a
+    mid at or below good is taken as a pass, one at or above bad as a fail.
+    With the bracket ``_SliceWork.step_bracket`` gives, those are the
+    verdicts ``feasible`` would return, so lo is the same to the last bit.
     """
     lo, failed_hi = 0.0, False
     for _ in range(steps):
         mid = (lo + hi) / 2
         if mid == lo or (mid == hi and failed_hi):
             break
-        if feasible(mid):
+        if feasible(mid) if good < mid < bad else mid <= good:
             lo = mid
         else:
             hi, failed_hi = mid, True
@@ -464,37 +628,33 @@ def _last_feasible(feasible, hi: float, steps: int) -> float:
 
 
 def _row_boxes(work: _SliceWork, alpha: np.ndarray, i: int):
-    """Free capacity and per-destination allocation bound for sender i."""
-    lam_i = work.lam[i]
+    """Free capacity and per-destination allocation bound for sender i.
+
+    Written elementwise with ``np.where`` in the order of Python's min() and
+    max() (the first argument unless the second beats it), so NaN and
+    signed zeros come out as a per-destination loop would leave them.
+    """
+    lam_i, a_i = work.lam[i], alpha[i]
     loads = alpha.T @ work.lam
-    mine = alpha[i] * lam_i
-    others = loads - mine
+    others = loads - a_i * lam_i
     free = work.caps - others
-    pis = response_times(alpha, work.lam, work.caps, work.tau)
-    box = np.zeros(work.n)
-    for m in range(work.n):
-        if not work.allowed[i, m]:
-            continue
-        room = (free[m] - RESIDUAL_FLOOR) / lam_i
-        if room <= 0:
-            box[m] = alpha[i, m]
-            continue
-        # other senders already on m tolerate only so much extra delay there
-        extra = np.inf
-        for j in work.senders:
-            if j == i or alpha[j, m] <= 0:
-                continue
-            slack = max(work.theta - pis[j], 0.0)
-            extra = min(extra, slack / alpha[j, m])
-        if np.isfinite(extra):
-            cur_resid = work.caps[m] - loads[m]
-            if cur_resid <= 0:
-                box[m] = alpha[i, m]
-                continue
-            delay_max = 1.0 / cur_resid + extra
-            room = min(room, (work.caps[m] - 1.0 / delay_max - others[m]) / lam_i)
-        box[m] = min(1.0, max(room, alpha[i, m]))
-    return free, box
+    room = (free - RESIDUAL_FLOOR) / lam_i
+    keep = room <= 0
+    # other senders already on m tolerate only so much extra delay there
+    on = (alpha > 0) & work.is_sender[:, None]
+    on[i] = False
+    if on.any():
+        slack = np.maximum(work.theta - response_times(alpha, work.lam, work.caps, work.tau), 0.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            extra = np.fmin.reduce(np.where(on, slack[:, None] / alpha, np.inf), axis=0)
+            cur_resid = work.caps - loads
+            limit = (work.caps - 1.0 / (1.0 / cur_resid + extra) - others) / lam_i
+        capped = np.isfinite(extra)
+        keep |= capped & (cur_resid <= 0)
+        room = np.where(capped & (limit < room), limit, room)
+    box = np.where(a_i > room, a_i, room)
+    box = np.where(keep, a_i, np.where(box < 1.0, box, 1.0))
+    return free, np.where(work.allowed[i], box, 0.0)
 
 
 def _update_row(work: _SliceWork, alpha: np.ndarray, i: int):
@@ -506,12 +666,14 @@ def _update_row(work: _SliceWork, alpha: np.ndarray, i: int):
         return
     # multi-destination interactions can overshoot other senders' deadlines;
     # the feasible set is convex, so back off along the segment to the old row
+    start, delta = alpha.copy(), np.zeros_like(alpha)
+    start[i], delta[i] = old, candidate - old
 
     def toward(step):
-        alpha[i] = old + step * (candidate - old)
+        alpha[i] = old + step * delta[i]
         return work.feasible(alpha)
 
-    alpha[i] = old + _last_feasible(toward, 1.0, 60) * (candidate - old)
+    alpha[i] = old + _last_feasible(toward, 1.0, 60, *work.step_bracket(start, delta, 1.0)) * delta[i]
     alpha[i][alpha[i] < 1e-12] = 0.0
     if not work.feasible(alpha):
         alpha[i] = old
@@ -539,7 +701,10 @@ def _polish_priority(work: _SliceWork, alpha: np.ndarray):
 
                 if transfer(avail):
                     continue  # full transfer accepted
-                d = _last_feasible(transfer, avail, 50)
+                alpha[i, source], alpha[i, target] = avail, kept
+                delta = np.zeros_like(alpha)
+                delta[i, source], delta[i, target] = -1.0, 1.0
+                d = _last_feasible(transfer, avail, 50, *work.step_bracket(alpha, delta, avail))
                 alpha[i, source], alpha[i, target] = (avail - d, kept + d) if d > 1e-12 else (avail, kept)
 
 
@@ -713,7 +878,8 @@ def _joint_refine(work: _SliceWork, alpha: np.ndarray) -> np.ndarray:
         cand[cand < 1e-12] = 0.0
         # tiny constraint overshoot from the NLP: pull back toward feasible
         if not work.feasible(cand):
-            cand = cand * _last_feasible(lambda s: work.feasible(cand * s), 1.0, 60)
+            bracket = work.step_bracket(np.zeros_like(cand), cand, 1.0)
+            cand = cand * _last_feasible(lambda s: work.feasible(cand * s), 1.0, 60, *bracket)
         w = work.welfare(cand)
         if w > best_w + 1e-12 and work.feasible(cand):
             best, best_w = cand, w
@@ -728,7 +894,10 @@ def solve_offload(instance: SliceInstance) -> OffloadSolution:
     smooth NLP on small slices and moves mass toward local shares.  The
     objective (total slice payoff) never decreases across stages.  Each
     stage that may overshoot a constraint backs off to the last feasible
-    step that ``_last_feasible`` finds on its segment.
+    step that ``_last_feasible`` finds on its segment: a row update toward
+    its old row, a polish transfer back toward its source, the NLP's point
+    toward zero.  ``_SliceWork.step_bracket`` tells the bisection which of
+    its mids' verdicts are already known, so most of them cost no check.
     """
     work = _SliceWork(instance)
     alpha = np.zeros((work.n, work.n))

@@ -803,6 +803,24 @@ class TestCli:
         assert cli.main(["validate", "--config", cfg]) == 1
         assert "policy.kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "chain, key",
+        [
+            (
+                {"arrivals": [{"kind": "bursty", "low": 1.0, "high": 5.0, "persistence": 1.5}]},
+                "nodes[0].arrivals[0].persistence",
+            ),
+            ({"harvest": {"kind": "uniform", "max": 1, "min": 3}}, "nodes[0].harvest.max"),
+        ],
+        ids=["bursty-persistence", "uniform-max-below-min"],
+    )
+    def test_rejected_chain_value_names_its_key(self, tmp_path, capsys, chain, key):
+        raw = base_engine_config()
+        raw["nodes"][0].update(chain)
+        cfg = self.write_config(tmp_path, raw)
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        assert key + ":" in capsys.readouterr().err
+
     def test_sweep_writes_rows(self, tmp_path, capsys):
         raw = base_engine_config(slots=2)
         cfg = self.write_config(tmp_path, raw)

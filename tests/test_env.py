@@ -37,6 +37,13 @@ class TestChains:
         with pytest.raises(ValueError, match="must be >= 0"):
             MarkovChainSpec(levels=(1.0, 2.0), transition=np.array([[np.nan, np.nan], [0.5, 0.5]]))
 
+    def test_caller_matrix_stays_writable(self):
+        m = np.array([[0.5, 0.5], [0.5, 0.5]])
+        chain = MarkovChainSpec((1.0, 2.0), m)
+        m[0, 0] = 0.4  # the chain froze a copy, not the caller's matrix
+        assert chain.transition[0, 0] == 0.5
+        assert not chain.transition.flags.writeable
+
     @pytest.mark.parametrize(
         "harvest, arrivals",
         [

@@ -24,6 +24,7 @@ from fogslice.game import (
     _joint_constraints,
     _joint_refine,
     _last_feasible,
+    _row_boxes,
     _slice_bound,
     _SliceWork,
     _trim_energy,
@@ -579,6 +580,74 @@ ROW24 = (
 )
 
 
+def reference_row_boxes(work, alpha, i):
+    """The per-destination loop ``_row_boxes`` must match bit for bit."""
+    lam_i = work.lam[i]
+    loads = alpha.T @ work.lam
+    others = loads - alpha[i] * lam_i
+    free = work.caps - others
+    pis = response_times(alpha, work.lam, work.caps, work.tau)
+    box = np.zeros(work.n)
+    for m in range(work.n):
+        if not work.allowed[i, m]:
+            continue
+        room = (free[m] - RESIDUAL_FLOOR) / lam_i
+        if room <= 0:
+            box[m] = alpha[i, m]
+            continue
+        extra = np.inf
+        for j in work.senders:
+            if j == i or alpha[j, m] <= 0:
+                continue
+            extra = min(extra, max(work.theta - pis[j], 0.0) / alpha[j, m])
+        if np.isfinite(extra):
+            cur_resid = work.caps[m] - loads[m]
+            if cur_resid <= 0:
+                box[m] = alpha[i, m]
+                continue
+            room = min(room, (work.caps[m] - 1.0 / (1.0 / cur_resid + extra) - others[m]) / lam_i)
+        box[m] = min(1.0, max(room, alpha[i, m]))
+    return free, box
+
+
+def reference_max_violation(work, alpha):
+    """The per-sender loop ``_SliceWork.max_violation`` must match in value."""
+    rows = alpha.sum(axis=1)
+    top = float(rows.max(initial=0.0))
+    if math.isnan(top):
+        return math.inf
+    loads = alpha.T @ work.lam
+    used = loads > 1e-12
+    worst = -np.inf
+    if used.any():
+        worst = float(np.max(loads[used] - (work.caps[used] - RESIDUAL_FLOOR / 2)))
+    pis = response_times(alpha, work.lam, work.caps, work.tau)
+    for i in work.senders:
+        if rows[i] > 0:
+            worst = max(worst, (pis[i] - work.theta) / max(work.theta, 1e-9))
+    return max(worst, top - 1.0)
+
+
+class TestSliceChecks:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.floats(0.0, 2.0))
+    def test_vectorised_checks_match_loops(self, seed, n, push):
+        """On ascent states pushed past feasibility, saturated and idle queues included."""
+        rng = np.random.default_rng(seed)
+        work = _SliceWork(mesh_slice(rng, n))
+        assume(work.senders)
+        alpha = np.zeros((n, n))
+        _ascent(work, alpha)
+        for _ in range(3):
+            for i in work.senders:
+                free, box = _row_boxes(work, alpha, i)
+                with np.errstate(over="ignore"):  # a tiny share's quotient may overflow to inf
+                    ref_free, ref_box = reference_row_boxes(work, alpha, i)
+                assert free.tobytes() == ref_free.tobytes() and box.tobytes() == ref_box.tobytes()
+            assert work.max_violation(alpha) == reference_max_violation(work, alpha)
+            alpha = alpha + push * rng.random((n, n)) * work.allowed * work.is_sender[:, None]
+
+
 def reference_last_feasible(feasible, hi, steps):
     """The fixed-step bisection ``_last_feasible`` must match to the last bit."""
     lo = 0.0
@@ -611,6 +680,59 @@ def step_searches(draw):
     return hi, lambda step: step <= at
 
 
+def segment(kind, start, delta, i):
+    """alpha at step s, rounded as the solver stage of that kind writes it."""
+    if kind == "pullback":
+        return lambda s: delta * s
+    if kind == "transfer":
+        source, target = int(np.argmin(delta[i])), int(np.argmax(delta[i]))
+        avail, kept = start[i, source], start[i, target]
+
+        def at(s):
+            alpha = start.copy()
+            alpha[i, source], alpha[i, target] = avail - s, kept + s
+            return alpha
+
+        return at
+    old, candidate = start[i], start[i] + delta[i]
+
+    def toward(s):
+        alpha = start.copy()
+        alpha[i] = old + s * (candidate - old)
+        return alpha
+
+    return toward
+
+
+def check_bracket(work, kind, start, delta, i, hi, steps=60):
+    """Every verdict ``step_bracket`` claims on the segment is the one ``feasible`` computes.
+
+    The claims are checked on the reference bisection's mids, on the ends
+    of both claimed ranges and on the floats next to them; the bracketed
+    search must end where the reference does.
+    """
+    at = segment(kind, start, delta, i)
+    verdict = lambda s: work.feasible(at(s))
+    good, bad = work.step_bracket(start, delta, hi)
+    probes = []
+    ref = reference_last_feasible(lambda s: probes.append(s) or verdict(s), hi, steps)
+    assert _last_feasible(verdict, hi, steps, good, bad).hex() == ref.hex()
+    ends = [good / 2, math.nextafter(good / 2, math.inf), math.nextafter(good, 0.0), good]
+    ends += [bad, math.nextafter(bad, math.inf), math.nextafter(hi, 0.0), hi]
+    for s in probes + ends:
+        if 0 < good / 2 <= s <= good:
+            assert verdict(s), (kind, s, good, bad)
+        if bad <= s <= hi:
+            assert not verdict(s), (kind, s, good, bad)
+    return good, bad
+
+
+def transfer_delta(n, i, source, target):
+    delta = np.zeros((n, n))
+    delta[i, source], delta[i, target] = -1.0, 1.0
+    return delta
+
+
 class TestFeasibleStep:
     @settings(max_examples=400, deadline=None)
     @given(step_searches(), st.sampled_from([50, 60]))
@@ -625,6 +747,99 @@ class TestFeasibleStep:
         assert got.hex() == ref.hex()
         # the early stop only drops the tail of the reference's probes
         assert probes == ref_probes[: len(probes)]
+
+    @settings(max_examples=400, deadline=None)
+    @given(step_searches(), st.sampled_from([50, 60]), st.data())
+    def test_bracket_only_skips_checks(self, search, steps, data):
+        """Any bracket the predicate bears out keeps lo; only mids inside it are checked."""
+        hi, feasible = search
+        ref_probes = []
+        ref = reference_last_feasible(lambda s: ref_probes.append(s) or feasible(s), hi, steps)
+        verdicts = sorted((s, feasible(s)) for s in ref_probes)
+        # good: 0 or a probe with every probe at or below it passing; bad:
+        # inf or a probe with every probe at or above it failing
+        goods = [0.0] + [s for k, (s, _) in enumerate(verdicts) if all(v for _, v in verdicts[: k + 1])]
+        bads = [math.inf] + [s for k, (s, _) in enumerate(verdicts) if not any(v for _, v in verdicts[k:])]
+        good, bad = data.draw(st.sampled_from(goods)), data.draw(st.sampled_from(bads))
+        probes = []
+        got = _last_feasible(lambda s: probes.append(s) or feasible(s), hi, steps, good, bad)
+        assert got.hex() == ref.hex()
+        assert all(good < s < bad for s in probes)
+        assert probes == [s for s in ref_probes if good < s < bad][: len(probes)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 4),
+        st.sampled_from(["backoff", "transfer", "pullback"]),
+        st.floats(0.0, 1.0),
+    )
+    def test_bracket_verdicts_on_solver_segments(self, seed, n, kind, push):
+        """On a slice the ascent has filled, the bracket of each segment kind claims only true verdicts."""
+        rng = np.random.default_rng(seed)
+        work = _SliceWork(mesh_slice(rng, n))
+        assume(work.senders)
+        alpha = np.zeros((n, n))
+        _ascent(work, alpha)
+        i = int(rng.choice(work.senders))
+        open_ = np.flatnonzero(work.allowed[i])
+        if kind == "pullback":
+            # an overshoot like SLSQP's: every entry pushed out, by up to 50%
+            cand = alpha * (1 + 0.5 * push) + 0.05 * push * work.allowed * work.is_sender[:, None]
+            event("pull-back infeasible" if not work.feasible(cand) else "pull-back feasible")
+            check_bracket(work, kind, np.zeros((n, n)), cand, i, 1.0)
+        elif kind == "transfer":
+            held = open_[alpha[i, open_] > 1e-12]
+            assume(held.size and open_.size > 1)
+            source = int(rng.choice(held))
+            target = int(rng.choice(open_[open_ != source]))
+            delta = transfer_delta(n, i, source, target)
+            good, bad = check_bracket(work, kind, alpha, delta, i, alpha[i, source], 50)
+            event("transfer blocked at 0" if bad < 1e-300 else "transfer bracketed")
+        else:
+            cand = alpha[i].copy()
+            cand[open_] += push * rng.uniform(0.0, 0.6, open_.size) * (rng.random(open_.size) < 0.7)
+            delta = np.zeros((n, n))
+            delta[i] = cand - alpha[i]
+            assume(delta.any())
+            check_bracket(work, kind, alpha, delta, i, 1.0)
+
+    def test_bracket_on_edge_segments(self):
+        """A zero-capacity neighbour, a queue near saturation, a row at total 1, a blocked transfer."""
+        # zero capacity at node 1: any share moved there fails at once
+        work = _SliceWork(pair_slice([5, 0], [30.0, 0.0]))
+        start = np.array([[0.5, 0.0], [0.0, 0.0]])
+        good, bad = check_bracket(work, "transfer", start, transfer_delta(2, 0, 0, 1), 0, 0.5, 50)
+        assert good == 0.0 and bad < 1e-300
+        delta = np.array([[0.1, 0.2], [0.0, 0.0]])
+        assert check_bracket(work, "backoff", start, delta, 0, 1.0)[1] < 1e-300
+        # node 0 near saturation: a long deadline lets its residual reach the floor
+        work = _SliceWork(pair_slice([5, 5], [80.0, 0.0], deadline=1e7))
+        start = np.array([[0.3, 0.1], [0.0, 0.0]])
+        delta = np.array([[(50.0 - 1e-7) / 80 - 0.3, 0.0], [0.0, 0.0]])
+        good, bad = check_bracket(work, "backoff", start, delta, 0, 1.0)
+        assert 0.0 < good < bad < 1.0
+        near = np.array([[(50.0 - 6e-7) / 80, 0.1], [0.0, 0.0]])
+        assert work.feasible(near)
+        check_bracket(work, "transfer", near, transfer_delta(2, 0, 1, 0), 0, 0.1, 50)
+        # a row at total 1, pushed past it by a back-off, and moved by a transfer
+        work = _SliceWork(pair_slice([5, 5], [20.0, 0.0]))
+        start = np.array([[0.5, 0.5], [0.0, 0.0]])
+        delta = np.array([[0.2, 0.0], [0.0, 0.0]])
+        good, bad = check_bracket(work, "backoff", start, delta, 0, 1.0)
+        assert 0.0 < good < 5e-9 < bad
+        check_bracket(work, "transfer", start, transfer_delta(2, 0, 0, 1), 0, 0.5, 50)
+        # the local share at the last float that passes: moving any of the
+        # remote share onto the congested local queue is blocked
+        work = _SliceWork(pair_slice([2, 5], [40.0, 0.0]))
+        lo, hi = 0.0, 1.0
+        while lo < (lo + hi) / 2 < hi:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if work.feasible(np.array([[mid, 0.1], [0.0, 0.0]])) else (lo, mid)
+        start = np.array([[lo, 0.1], [0.0, 0.0]])
+        assert not work.feasible(np.array([[hi, 0.1], [0.0, 0.0]]))
+        good, bad = check_bracket(work, "transfer", start, transfer_delta(2, 0, 1, 0), 0, 0.1, 50)
+        assert good == 0.0 and bad < 1e-12
 
     def test_climbs_to_hi_and_stops(self):
         probes = []
