@@ -17,8 +17,9 @@ bisection ends on.  Because round trips are non-negative, the bisection's
 pass/fail verdict is monotone in the price even in floating point, so a few
 safeguarded Newton probes answer nearly all of its steps, and the result is
 the bisection's to the last bit.  Every stage that backs off along a segment
-to stay feasible finds its step with one bisection, ``_last_feasible``.  The
-constraints a move touches are convex along its segment, so
+start + s*delta to stay feasible finds its step with one method,
+``_SliceWork.last_feasible``, a bisection (``_last_feasible``) on that
+segment.  The constraints a move touches are convex along its segment, so
 ``_SliceWork.step_bracket`` finds, constraint by constraint, where the first
 of them gives out, and the bisection checks only the mids within a float
 margin of that step: the verdicts of the others are known, and the step is
@@ -451,12 +452,13 @@ class _SliceWork:
     def step_bracket(self, start, delta, hi: float):
         """Steps of the segment start + s*delta, 0 <= s <= hi, whose verdict is known.
 
-        Returns (good, bad): ``feasible`` fails at every step in [bad, hi] and,
-        if good > 0, passes at every step in [good/2, good], the caller's own
-        rounding of start + s*delta included.  ``_last_feasible`` may take
-        those verdicts without a check: a bisection of [0, hi] takes a pass
-        below good only above good/2.  (0, inf) claims nothing.  Shares are
-        assumed non-negative along the segment, as every caller's are.
+        Returns (good, bad): ``feasible(start + s * delta)``, the step's
+        alpha computed as ``last_feasible`` computes it, fails at every step
+        in [bad, hi] and, if good > 0, passes at every step in [good/2, good].
+        ``_last_feasible`` may take those verdicts without a check: a
+        bisection of [0, hi] takes a pass below good only above good/2.
+        (0, inf) claims nothing.  Shares are assumed non-negative along the
+        segment, as every stage's are.
 
         Only the constraints the move touches are read.  Every other one is
         computed from the same bits at every step, so the check of the start
@@ -601,6 +603,18 @@ class _SliceWork:
             to_pass, to_fail = 16 * to_pass + tiny, 16 * to_fail
         return good, bad
 
+    def last_feasible(self, start, delta, hi: float, steps: int) -> float:
+        """Last feasible step of start + s*delta a ``steps``-step bisection of [0, hi] finds.
+
+        The one back-off search of every stage: ``step_bracket`` tells
+        ``_last_feasible`` which mids' verdicts are already known, so most
+        of them cost no check, and the step is the full bisection's to the
+        last bit.
+        """
+        return _last_feasible(
+            lambda s: self.feasible(start + s * delta), hi, steps, *self.step_bracket(start, delta, hi)
+        )
+
 
 def _last_feasible(feasible, hi: float, steps: int, good: float = 0.0, bad: float = math.inf) -> float:
     """The lo a ``steps``-step bisection of [0, hi] on ``feasible`` ends on.
@@ -668,12 +682,7 @@ def _update_row(work: _SliceWork, alpha: np.ndarray, i: int):
     # the feasible set is convex, so back off along the segment to the old row
     start, delta = alpha.copy(), np.zeros_like(alpha)
     start[i], delta[i] = old, candidate - old
-
-    def toward(step):
-        alpha[i] = old + step * delta[i]
-        return work.feasible(alpha)
-
-    alpha[i] = old + _last_feasible(toward, 1.0, 60, *work.step_bracket(start, delta, 1.0)) * delta[i]
+    alpha[i] = old + work.last_feasible(start, delta, 1.0, 60) * delta[i]
     alpha[i][alpha[i] < 1e-12] = 0.0
     if not work.feasible(alpha):
         alpha[i] = old
@@ -686,26 +695,27 @@ def _polish_priority(work: _SliceWork, alpha: np.ndarray):
     go as far as the full slice stays feasible.  This is not a tie-break
     only: the allocation picked feeds later slots, and without the polish
     urban80 episode 2's welfare moves by -3.2e-3.
+
+    A target without capacity is skipped: any share moved onto it meets a
+    residual of at most ``SATURATION_TOL``, so no transfer there can pass.
     """
     for i in work.senders:
         order = [i] + sorted(m for m in range(work.n) if work.allowed[i, m] and m != i)
         for ti, target in enumerate(order):
+            if work.caps[target] <= SATURATION_TOL:
+                continue
             for source in reversed(order[ti + 1 :]):
-                avail, kept = alpha[i, source], alpha[i, target]
+                avail = alpha[i, source]
                 if avail <= 1e-12:
                     continue
-
-                def transfer(d):
-                    alpha[i, source], alpha[i, target] = avail - d, kept + d
-                    return work.feasible(alpha)
-
-                if transfer(avail):
-                    continue  # full transfer accepted
-                alpha[i, source], alpha[i, target] = avail, kept
                 delta = np.zeros_like(alpha)
                 delta[i, source], delta[i, target] = -1.0, 1.0
-                d = _last_feasible(transfer, avail, 50, *work.step_bracket(alpha, delta, avail))
-                alpha[i, source], alpha[i, target] = (avail - d, kept + d) if d > 1e-12 else (avail, kept)
+                if work.feasible(alpha + avail * delta):
+                    d = avail  # full transfer accepted
+                else:
+                    d = work.last_feasible(alpha, delta, avail, 50)
+                if d > 1e-12:
+                    alpha += d * delta
 
 
 def _ascent(work: _SliceWork, alpha: np.ndarray) -> int:
@@ -878,8 +888,7 @@ def _joint_refine(work: _SliceWork, alpha: np.ndarray) -> np.ndarray:
         cand[cand < 1e-12] = 0.0
         # tiny constraint overshoot from the NLP: pull back toward feasible
         if not work.feasible(cand):
-            bracket = work.step_bracket(np.zeros_like(cand), cand, 1.0)
-            cand = cand * _last_feasible(lambda s: work.feasible(cand * s), 1.0, 60, *bracket)
+            cand = cand * work.last_feasible(np.zeros_like(cand), cand, 1.0, 60)
         w = work.welfare(cand)
         if w > best_w + 1e-12 and work.feasible(cand):
             best, best_w = cand, w
@@ -894,9 +903,9 @@ def solve_offload(instance: SliceInstance) -> OffloadSolution:
     smooth NLP on small slices and moves mass toward local shares.  The
     objective (total slice payoff) never decreases across stages.  Each
     stage that may overshoot a constraint backs off to the last feasible
-    step that ``_last_feasible`` finds on its segment: a row update toward
-    its old row, a polish transfer back toward its source, the NLP's point
-    toward zero.  ``_SliceWork.step_bracket`` tells the bisection which of
+    step that ``_SliceWork.last_feasible`` finds on its segment: a row
+    update toward its old row, a polish transfer back toward its source,
+    the NLP's point toward zero.  Its bracket tells the bisection which of
     its mids' verdicts are already known, so most of them cost no check.
     """
     work = _SliceWork(instance)
@@ -1044,12 +1053,7 @@ def _assemble(game: GameInstance, energy: np.ndarray, alphas: list[np.ndarray]) 
 
 
 def _exhaustive_vector_count(game: GameInstance) -> int:
-    count = 1
-    for nd, budget in zip(game.network.nodes, game.budgets):
-        count *= _energy_cap(nd, budget) + 1
-        if count > 10**9:
-            break
-    return count
+    return math.prod(_energy_cap(nd, budget) + 1 for nd, budget in zip(game.network.nodes, game.budgets))
 
 
 def _slice_bound(instance: SliceInstance) -> float:
@@ -1327,31 +1331,23 @@ def lone_sender_share(tau: np.ndarray, cap: np.ndarray, lam: float, theta: float
     return float(_waterfill(tau, cap, box, lam, theta).sum())
 
 
-def _grid_rows(lam, caps, tau_row, dest_idx, grid, theta):
+def _grid_rows(lam, caps, tau_row, grid, theta):
     """Candidate allocation rows on the grid for one sender and service.
 
+    Rows are grid units per destination, in lexicographic order.
     Per-destination loads beyond capacity can never become feasible, so
     those entries are cut before enumeration.
     """
     if lam <= 0:
-        return [tuple(0 for _ in dest_idx)]
+        return [(0,) * len(caps)]
     steps = int(round(1.0 / grid))
-    max_per_dest = []
-    for d, m in enumerate(dest_idx):
-        top = min(steps, int((caps[d] - FEAS_TOL) / (lam * grid)) if caps[d] > 0 else 0)
-        if tau_row[d] >= theta:
+    rows = [()]
+    for cap, tau in zip(caps, tau_row):
+        top = min(steps, int((cap - FEAS_TOL) / (lam * grid)) if cap > 0 else 0)
+        if tau >= theta:
             top = 0  # the rtt alone already breaks the deadline on this path
-        max_per_dest.append(max(top, 0))
-    rows = []
-
-    def rec(d, left, acc):
-        if d == len(dest_idx):
-            rows.append(tuple(acc))
-            return
-        for units in range(min(max_per_dest[d], left) + 1):
-            rec(d + 1, left - units, acc + [units])
-
-    rec(0, steps, [])
+        top = max(top, 0)
+        rows = [row + (units,) for row in rows for units in range(min(top, steps - sum(row)) + 1)]
     return rows
 
 
@@ -1411,8 +1407,10 @@ def _search_subset(game, members, current, grid: float, budget: int):
     dest_sets = [
         [local[m] for m in members if m == i or m in net.neighbors[i]] for i in members
     ]
-    lam = np.array([[game.arrivals[m, k] for k in range(k_n)] for m in members])
+    lam = game.arrivals[list(members)]
     rtt = net.rtt[np.ix_(members, members)]
+    rates = np.array([[svc.unit_rate * net.nodes[m].rate_factor for svc in net.services] for m in members])
+    unit_energy = np.array([[net.nodes[m].unit_energy] for m in members])
     split_sets = []
     for m in members:
         nd = net.nodes[m]
@@ -1433,30 +1431,17 @@ def _search_subset(game, members, current, grid: float, budget: int):
 
     spent = 0
     for split_combo in itertools.product(*split_sets):
-        caps = np.zeros((size, k_n))
-        for li, m in enumerate(members):
-            nd = net.nodes[m]
-            for k in range(k_n):
-                caps[li, k] = capacity(
-                    net.services[k].unit_rate * nd.rate_factor, split_combo[li][k], nd.unit_energy
-                )
+        caps = capacity(rates, np.array(split_combo), unit_energy)  # (members, services)
         # candidate row bundles per member: joint rows over services, kept
         # only if the member's total payoff is strictly above current, best first
         bundles = []
         for li, m in enumerate(members):
             dests = dest_sets[li]
-            per_service_rows = []
-            for k in range(k_n):
-                tau_row = [net.rtt[m, members[d]] for d in dests]
-                rows = _grid_rows(
-                    float(lam[li, k]),
-                    [caps[d, k] for d in dests],
-                    tau_row,
-                    dests,
-                    grid,
-                    net.services[k].deadline,
-                )
-                per_service_rows.append(rows)
+            tau_row = rtt[li, dests]
+            per_service_rows = [
+                _grid_rows(float(lam[li, k]), caps[dests, k], tau_row, grid, net.services[k].deadline)
+                for k in range(k_n)
+            ]
             combos = []
             for combo in itertools.product(*per_service_rows):
                 reward = sum(
@@ -1499,9 +1484,8 @@ def _grid_leaf(net, lam, rtt, dest_sets, caps, chosen, grid):
     alphas = []
     for k in range(k_n):
         alpha = np.zeros((size, size))
-        for li in range(size):
-            for d, dest in enumerate(dest_sets[li]):
-                alpha[li, dest] = chosen[li][k][d] * grid
+        for li, dests in enumerate(dest_sets):
+            alpha[li, dests] = np.multiply(chosen[li][k], grid)
         pis = response_times(alpha, lam[:, k], caps[:, k], rtt)
         senders = alpha.sum(axis=1) > 0
         if np.any(pis[senders] > net.services[k].deadline + FEAS_TOL):

@@ -21,9 +21,12 @@ from fogslice.game import (
     _ascent,
     _assemble,
     _best_split,
+    _exhaustive_vector_count,
+    _grid_rows,
     _joint_constraints,
     _joint_refine,
     _last_feasible,
+    _polish_priority,
     _row_boxes,
     _slice_bound,
     _SliceWork,
@@ -681,7 +684,12 @@ def step_searches(draw):
 
 
 def segment(kind, start, delta, i):
-    """alpha at step s, rounded as the solver stage of that kind writes it."""
+    """alpha at step s, rounded as the solver stage of that kind wrote it on its own.
+
+    Before ``_SliceWork.last_feasible``, a row back-off wrote old + s*delta
+    into row i, a transfer wrote avail - s and kept + s into two entries, and
+    the pull-back scaled the NLP's point by s.
+    """
     if kind == "pullback":
         return lambda s: delta * s
     if kind == "transfer":
@@ -694,11 +702,11 @@ def segment(kind, start, delta, i):
             return alpha
 
         return at
-    old, candidate = start[i], start[i] + delta[i]
+    old = start[i]
 
     def toward(s):
         alpha = start.copy()
-        alpha[i] = old + s * (candidate - old)
+        alpha[i] = old + s * delta[i]
         return alpha
 
     return toward
@@ -707,16 +715,22 @@ def segment(kind, start, delta, i):
 def check_bracket(work, kind, start, delta, i, hi, steps=60):
     """Every verdict ``step_bracket`` claims on the segment is the one ``feasible`` computes.
 
-    The claims are checked on the reference bisection's mids, on the ends
-    of both claimed ranges and on the floats next to them; the bracketed
-    search must end where the reference does.
+    The segment is start + s*delta, as ``_SliceWork.last_feasible``
+    evaluates it; at each of the reference bisection's mids it is, byte for
+    byte, the alpha the stage of that kind wrote on its own (``segment``).
+    The claims are checked on those mids, on the ends of both claimed
+    ranges and on the floats next to them; the bracketed search must end
+    where the reference does.
     """
-    at = segment(kind, start, delta, i)
+    at = lambda s: start + s * delta
+    stage_at = segment(kind, start, delta, i)
     verdict = lambda s: work.feasible(at(s))
     good, bad = work.step_bracket(start, delta, hi)
     probes = []
     ref = reference_last_feasible(lambda s: probes.append(s) or verdict(s), hi, steps)
     assert _last_feasible(verdict, hi, steps, good, bad).hex() == ref.hex()
+    for s in probes:
+        assert at(s).tobytes() == stage_at(s).tobytes(), (kind, s)
     ends = [good / 2, math.nextafter(good / 2, math.inf), math.nextafter(good, 0.0), good]
     ends += [bad, math.nextafter(bad, math.inf), math.nextafter(hi, 0.0), hi]
     for s in probes + ends:
@@ -731,6 +745,36 @@ def transfer_delta(n, i, source, target):
     delta = np.zeros((n, n))
     delta[i, source], delta[i, target] = -1.0, 1.0
     return delta
+
+
+def solver_segment(seed, n, kind, push):
+    """(work, start, delta, i, hi, steps) of a segment a solver stage of that kind
+    searches, on a slice the ascent has filled: a row back-off, a polish
+    transfer or the NLP pull-back."""
+    rng = np.random.default_rng(seed)
+    work = _SliceWork(mesh_slice(rng, n))
+    assume(work.senders)
+    alpha = np.zeros((n, n))
+    _ascent(work, alpha)
+    i = int(rng.choice(work.senders))
+    open_ = np.flatnonzero(work.allowed[i])
+    if kind == "pullback":
+        # an overshoot like SLSQP's: every entry pushed out, by up to 50%
+        cand = alpha * (1 + 0.5 * push) + 0.05 * push * work.allowed * work.is_sender[:, None]
+        event("pull-back infeasible" if not work.feasible(cand) else "pull-back feasible")
+        return work, np.zeros((n, n)), cand, i, 1.0, 60
+    if kind == "transfer":
+        held = open_[alpha[i, open_] > 1e-12]
+        assume(held.size and open_.size > 1)
+        source = int(rng.choice(held))
+        target = int(rng.choice(open_[open_ != source]))
+        return work, alpha, transfer_delta(n, i, source, target), i, alpha[i, source], 50
+    cand = alpha[i].copy()
+    cand[open_] += push * rng.uniform(0.0, 0.6, open_.size) * (rng.random(open_.size) < 0.7)
+    delta = np.zeros((n, n))
+    delta[i] = cand - alpha[i]
+    assume(delta.any())
+    return work, alpha, delta, i, 1.0, 60
 
 
 class TestFeasibleStep:
@@ -776,33 +820,23 @@ class TestFeasibleStep:
     )
     def test_bracket_verdicts_on_solver_segments(self, seed, n, kind, push):
         """On a slice the ascent has filled, the bracket of each segment kind claims only true verdicts."""
-        rng = np.random.default_rng(seed)
-        work = _SliceWork(mesh_slice(rng, n))
-        assume(work.senders)
-        alpha = np.zeros((n, n))
-        _ascent(work, alpha)
-        i = int(rng.choice(work.senders))
-        open_ = np.flatnonzero(work.allowed[i])
-        if kind == "pullback":
-            # an overshoot like SLSQP's: every entry pushed out, by up to 50%
-            cand = alpha * (1 + 0.5 * push) + 0.05 * push * work.allowed * work.is_sender[:, None]
-            event("pull-back infeasible" if not work.feasible(cand) else "pull-back feasible")
-            check_bracket(work, kind, np.zeros((n, n)), cand, i, 1.0)
-        elif kind == "transfer":
-            held = open_[alpha[i, open_] > 1e-12]
-            assume(held.size and open_.size > 1)
-            source = int(rng.choice(held))
-            target = int(rng.choice(open_[open_ != source]))
-            delta = transfer_delta(n, i, source, target)
-            good, bad = check_bracket(work, kind, alpha, delta, i, alpha[i, source], 50)
+        work, start, delta, i, hi, steps = solver_segment(seed, n, kind, push)
+        good, bad = check_bracket(work, kind, start, delta, i, hi, steps)
+        if kind == "transfer":
             event("transfer blocked at 0" if bad < 1e-300 else "transfer bracketed")
-        else:
-            cand = alpha[i].copy()
-            cand[open_] += push * rng.uniform(0.0, 0.6, open_.size) * (rng.random(open_.size) < 0.7)
-            delta = np.zeros((n, n))
-            delta[i] = cand - alpha[i]
-            assume(delta.any())
-            check_bracket(work, kind, alpha, delta, i, 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 4),
+        st.sampled_from(["backoff", "transfer", "pullback"]),
+        st.floats(0.0, 1.0),
+    )
+    def test_last_feasible_matches_reference(self, seed, n, kind, push):
+        """The stages' one search ends where a full bisection of start + s*delta does."""
+        work, start, delta, i, hi, steps = solver_segment(seed, n, kind, push)
+        ref = reference_last_feasible(lambda s: work.feasible(start + s * delta), hi, steps)
+        assert work.last_feasible(start, delta, hi, steps).hex() == ref.hex()
 
     def test_bracket_on_edge_segments(self):
         """A zero-capacity neighbour, a queue near saturation, a row at total 1, a blocked transfer."""
@@ -840,6 +874,18 @@ class TestFeasibleStep:
         assert not work.feasible(np.array([[hi, 0.1], [0.0, 0.0]]))
         good, bad = check_bracket(work, "transfer", start, transfer_delta(2, 0, 1, 0), 0, 0.1, 50)
         assert good == 0.0 and bad < 1e-12
+
+    def test_polish_skips_targets_without_capacity(self):
+        """No check is spent on a transfer onto a queue with no capacity."""
+        # node 0 has no capacity; both senders hold shares on node 1
+        work = _SliceWork(pair_slice([0, 5], [30.0, 20.0]))
+        alpha = np.array([[0.0, 0.5], [0.0, 0.3]])
+        checked, feasible = [], work.feasible
+        record = lambda a: checked.append(a.copy()) or feasible(a)
+        with mock.patch.object(work, "feasible", side_effect=record):
+            _polish_priority(work, alpha)
+        assert not any(a[:, 0].any() for a in checked)
+        assert alpha.tolist() == [[0.0, 0.5], [0.0, 0.3]]
 
     def test_climbs_to_hi_and_stops(self):
         probes = []
@@ -1286,6 +1332,14 @@ class TestExhaustiveSearch:
         assert_same_as_full_enumeration(game)
         assert solve_social_welfare(game).agreement.energy[:, 0].tolist() == [1, 3]
 
+    def test_vector_count_is_exact_past_1e9(self):
+        """Three nodes of 40 000 units each: the count is the full product, never a partial one."""
+        nodes = tuple(make_node(max_units=40_000, battery_cap=40_000) for _ in range(3))
+        game = GameInstance(
+            network=make_network(nodes=nodes), arrivals=np.full((3, 1), 10.0), budgets=np.full(3, 40_000)
+        )
+        assert _exhaustive_vector_count(game) == 40_001**3 == 64_004_800_120_001
+
     def test_solves_fewer_slices_than_vectors(self, monkeypatch):
         import fogslice.game as game_module
 
@@ -1493,7 +1547,53 @@ def pair_core_games(draw):
     return GameInstance(network=net, arrivals=arrivals, budgets=budgets)
 
 
+def reference_grid_rows(lam, caps, tau_row, grid, theta):
+    """The recursive enumeration ``_grid_rows`` must match, order included."""
+    if lam <= 0:
+        return [tuple(0 for _ in caps)]
+    steps = int(round(1.0 / grid))
+    max_per_dest = []
+    for d in range(len(caps)):
+        top = min(steps, int((caps[d] - FEAS_TOL) / (lam * grid)) if caps[d] > 0 else 0)
+        if tau_row[d] >= theta:
+            top = 0
+        max_per_dest.append(max(top, 0))
+    rows = []
+
+    def rec(d, left, acc):
+        if d == len(caps):
+            rows.append(tuple(acc))
+            return
+        for units in range(min(max_per_dest[d], left) + 1):
+            rec(d + 1, left - units, acc + [units])
+
+    rec(0, steps, [])
+    return rows
+
+
 class TestCheckCore:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.just(0.0), st.floats(0.1, 100.0)),
+        st.lists(
+            st.tuples(
+                st.one_of(st.just(0.0), st.just(1e-10), st.floats(0.0, 200.0)),
+                st.one_of(st.just(-1.0), st.floats(0.0, 0.2)),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.floats(0.05, 0.5),
+        st.floats(0.01, 0.15),
+    )
+    def test_grid_rows_match_recursive_enumeration(self, lam, dests, grid, theta):
+        """Zero arrivals, zero or tiny capacities and round trips at or past the deadline included."""
+        caps = np.array([cap for cap, _ in dests])
+        # a round trip drawn as -1 stands for one exactly at the deadline
+        tau_row = np.array([theta if tau < 0 else tau for _, tau in dests])
+        want = reference_grid_rows(lam, caps, tau_row, grid, theta)
+        assert _grid_rows(lam, caps, tau_row, grid, theta) == want
+
     @pytest.mark.parametrize("grid", [0.0, -0.1, 1.5, math.nan, math.inf])
     def test_options_reject_invalid_grid(self, grid):
         with pytest.raises(ValueError, match="grid"):

@@ -34,7 +34,7 @@ from fogslice import game  # noqa: E402
 
 STAGES = ("_update_row", "_polish_priority", "_joint_refine", "_swap_pass", "solve_offload")
 # frames between a check and the code that asked for it
-PLUMBING = {"max_violation", "feasible", "<lambda>", "toward", "transfer", "counted", "probe"}
+PLUMBING = {"max_violation", "feasible", "<lambda>", "last_feasible", "counted", "probe"}
 
 
 def one_pass(games) -> None:
