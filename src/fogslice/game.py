@@ -23,8 +23,12 @@ segment.  The constraints a move touches are convex along its segment, so
 ``_SliceWork.step_bracket`` finds, constraint by constraint, where the first
 of them gives out, and the bisection checks only the mids within a float
 margin of that step: the verdicts of the others are known, and the step is
-the full bisection's to the last bit.  A grid-search oracle (oracles module)
-backstops the whole pipeline on desk-size instances.
+the full bisection's to the last bit.  Every check, row bound and swap reads
+the slice's loads, responses and verdict through ``_SliceWork.state``, which
+keeps them for the offload matrix last seen, keyed on its bytes: each
+distinct matrix's are computed once, however many stages ask.  A
+grid-search oracle (oracles module) backstops the whole pipeline on
+desk-size instances.
 """
 
 from __future__ import annotations
@@ -405,6 +409,64 @@ def _price_probe(mu, t, k, share_gap, delay_gap):
     return mu + min(step_share, dw * (2.0 * w + dw))
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class _SliceState:
+    """One offload matrix's loads, responses and verdict, each computed at most once.
+
+    It reads a read-only copy of the matrix taken when it was made, so a
+    caller's later in-place change cannot reach it, and every array it
+    hands out is read-only.
+    """
+
+    def __init__(self, work: _SliceWork, alpha: np.ndarray, key: bytes):
+        self.work, self.key, self.alpha = work, key, _frozen(alpha.copy())
+        self._loads = self._pis = self._violation = None
+
+    @property
+    def loads(self) -> np.ndarray:
+        if self._loads is None:
+            self._loads = _frozen(self.alpha.T @ self.work.lam)
+        return self._loads
+
+    @property
+    def pis(self) -> np.ndarray:
+        if self._pis is None:
+            w = self.work
+            self._pis = _frozen(response_times(self.alpha, w.lam, w.caps, w.tau))
+        return self._pis
+
+    @property
+    def violation(self) -> float:
+        """Largest constraint excess: > 0 means infeasible, inf on a NaN entry.
+
+        Only destinations actually carrying load are held to the residual
+        floor; an idle zero-capacity node violates nothing.
+        """
+        if self._violation is None:
+            self._violation = self._excess()
+        return self._violation
+
+    def _excess(self) -> float:
+        w = self.work
+        rows = self.alpha.sum(axis=1)
+        top = float(rows.max(initial=0.0))
+        if math.isnan(top):
+            return math.inf  # the max() calls below would skip a NaN
+        loads = self.loads
+        used = loads > 1e-12
+        worst = -np.inf
+        if used.any():
+            worst = float(np.max(loads[used] - (w.caps[used] - RESIDUAL_FLOOR / 2)))
+        late = (self.pis[w.is_sender & (rows > 0)] - w.theta) / max(w.theta, 1e-9)
+        # fmax skips a NaN response the way a running max() does
+        worst = float(np.fmax.reduce(late, initial=worst))
+        return max(worst, top - 1.0)
+
+
 class _SliceWork:
     """Mutable solver scratch for one slice."""
 
@@ -418,6 +480,35 @@ class _SliceWork:
         self.theta = instance.service.deadline
         self.senders = [i for i in range(self.n) if self.lam[i] > 0]
         self.is_sender = self.lam > 0
+        self._state: _SliceState | None = None
+
+    def state(self, alpha) -> _SliceState:
+        """The slice state of ``alpha``'s current values.
+
+        One state is kept, keyed on the matrix's bytes: every stage changes
+        alpha in place, so only its values name it.  A lookup with the same
+        bytes returns the kept state; any other replaces it.  A -0.0 read
+        where +0.0 was kept is a miss, which costs only the recomputation.
+        """
+        key = alpha.tobytes()
+        if self._state is None or self._state.key != key:
+            self._state = _SliceState(self, alpha, key)
+        return self._state
+
+    @functools.cached_property
+    def receivers(self) -> list[list[int]]:
+        """Per destination m, the senders allowed at m, stably sorted by tau[i, m].
+
+        Entries whose round trip is NaN are left out: no comparison passes
+        for them, and a NaN key would leave the sort order undefined.
+        """
+        return [
+            sorted(
+                (i for i in self.senders if self.allowed[i, m] and not math.isnan(self.tau[i, m])),
+                key=lambda i: self.tau[i, m],
+            )
+            for m in range(self.n)
+        ]
 
     def welfare(self, alpha):
         # served requests only; the reward rate is applied after the solve
@@ -425,25 +516,8 @@ class _SliceWork:
         return float(np.sum(self.lam * alpha.sum(axis=1)))
 
     def max_violation(self, alpha):
-        """Largest constraint excess: > 0 means infeasible, inf on a NaN entry.
-
-        Only destinations actually carrying load are held to the residual
-        floor; an idle zero-capacity node violates nothing.
-        """
-        rows = alpha.sum(axis=1)
-        top = float(rows.max(initial=0.0))
-        if math.isnan(top):
-            return math.inf  # the max() calls below would skip a NaN
-        loads = alpha.T @ self.lam
-        used = loads > 1e-12
-        worst = -np.inf
-        if used.any():
-            worst = float(np.max(loads[used] - (self.caps[used] - RESIDUAL_FLOOR / 2)))
-        pis = response_times(alpha, self.lam, self.caps, self.tau)
-        late = (pis[self.is_sender & (rows > 0)] - self.theta) / max(self.theta, 1e-9)
-        # fmax skips a NaN response the way a running max() does
-        worst = float(np.fmax.reduce(late, initial=worst))
-        return max(worst, top - 1.0)
+        """Largest constraint excess: > 0 means infeasible, inf on a NaN entry."""
+        return self.state(alpha).violation
 
     def feasible(self, alpha) -> bool:
         return self.max_violation(alpha) <= FEAS_TOL
@@ -648,8 +722,8 @@ def _row_boxes(work: _SliceWork, alpha: np.ndarray, i: int):
     max() (the first argument unless the second beats it), so NaN and
     signed zeros come out as a per-destination loop would leave them.
     """
-    lam_i, a_i = work.lam[i], alpha[i]
-    loads = alpha.T @ work.lam
+    lam_i, a_i, state = work.lam[i], alpha[i], work.state(alpha)
+    loads = state.loads
     others = loads - a_i * lam_i
     free = work.caps - others
     room = (free - RESIDUAL_FLOOR) / lam_i
@@ -658,7 +732,7 @@ def _row_boxes(work: _SliceWork, alpha: np.ndarray, i: int):
     on = (alpha > 0) & work.is_sender[:, None]
     on[i] = False
     if on.any():
-        slack = np.maximum(work.theta - response_times(alpha, work.lam, work.caps, work.tau), 0.0)
+        slack = np.maximum(work.theta - state.pis, 0.0)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             extra = np.fmin.reduce(np.where(on, slack[:, None] / alpha, np.inf), axis=0)
             cur_resid = work.caps - loads
@@ -741,8 +815,9 @@ def _swap_pass(work: _SliceWork, alpha: np.ndarray) -> bool:
     potential, so passes terminate.
     """
     moved = False
+    state = work.state(alpha)  # renewed only when a swap changes alpha
     for m in range(work.n):
-        loads = alpha.T @ work.lam
+        loads = state.loads
         resid = work.caps[m] - loads[m]
         if resid <= RESIDUAL_FLOOR / 2 and loads[m] <= 0:
             continue
@@ -752,21 +827,15 @@ def _swap_pass(work: _SliceWork, alpha: np.ndarray) -> bool:
             key=lambda j: -work.tau[j, m],
         )
         for j in donors:
-            receivers = sorted(
-                (
-                    i
-                    for i in work.senders
-                    if i != j
-                    and work.allowed[i, m]
-                    and work.tau[i, m] < work.tau[j, m] - 1e-12
-                ),
-                key=lambda i: work.tau[i, m],
-            )
-            for i in receivers:
-                pis = response_times(alpha, work.lam, work.caps, work.tau)
+            # the strictly cheaper senders are a prefix of m's order, without j
+            cheaper = work.tau[j, m] - 1e-12
+            for i in work.receivers[m]:
+                if not work.tau[i, m] < cheaper:
+                    break
                 load_avail = alpha[j, m] * work.lam[j]
-                row_room = max(0.0, 1.0 - alpha[i].sum()) * work.lam[i]
-                slack_i = max(0.0, work.theta - (pis[i] if alpha[i].sum() > 0 else 0.0))
+                row_i = alpha[i].sum()
+                row_room = max(0.0, 1.0 - row_i) * work.lam[i]
+                slack_i = max(0.0, work.theta - (state.pis[i] if row_i > 0 else 0.0))
                 price_i = (work.tau[i, m] + delta_m) / work.lam[i]
                 budget_room = slack_i / price_i if price_i > 0 else np.inf
                 d = min(load_avail, row_room, budget_room) * (1 - 1e-12)
@@ -777,6 +846,7 @@ def _swap_pass(work: _SliceWork, alpha: np.ndarray) -> bool:
                 if alpha[j, m] < 1e-12:
                     alpha[j, m] = 0.0
                 moved = True
+                state = work.state(alpha)
     return moved
 
 
@@ -907,6 +977,9 @@ def solve_offload(instance: SliceInstance) -> OffloadSolution:
     update toward its old row, a polish transfer back toward its source,
     the NLP's point toward zero.  Its bracket tells the bisection which of
     its mids' verdicts are already known, so most of them cost no check.
+    Each distinct alpha's loads, responses and verdict are computed once
+    (``_SliceWork.state``): a row the water-fill leaves unchanged is checked
+    for free, and a swap pass recomputes responses only after a swap.
     """
     work = _SliceWork(instance)
     alpha = np.zeros((work.n, work.n))

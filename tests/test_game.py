@@ -30,6 +30,7 @@ from fogslice.game import (
     _row_boxes,
     _slice_bound,
     _SliceWork,
+    _swap_pass,
     _trim_energy,
     _waterfill,
     check_core,
@@ -649,6 +650,154 @@ class TestSliceChecks:
                 assert free.tobytes() == ref_free.tobytes() and box.tobytes() == ref_box.tobytes()
             assert work.max_violation(alpha) == reference_max_violation(work, alpha)
             alpha = alpha + push * rng.random((n, n)) * work.allowed * work.is_sender[:, None]
+
+
+def reference_swap_pass(work, alpha):
+    """The loop ``_swap_pass`` must match bit for bit: the whole slice's
+    responses recomputed for every (destination, donor, receiver) triple,
+    and each donor's receivers filtered and sorted on their own."""
+    moved = False
+    for m in range(work.n):
+        loads = alpha.T @ work.lam
+        resid = work.caps[m] - loads[m]
+        if resid <= RESIDUAL_FLOOR / 2 and loads[m] <= 0:
+            continue
+        delta_m = 1.0 / resid if resid > 0 else np.inf
+        donors = sorted(
+            (j for j in work.senders if alpha[j, m] > 1e-12),
+            key=lambda j: -work.tau[j, m],
+        )
+        for j in donors:
+            receivers = sorted(
+                (
+                    i
+                    for i in work.senders
+                    if i != j
+                    and work.allowed[i, m]
+                    and work.tau[i, m] < work.tau[j, m] - 1e-12
+                ),
+                key=lambda i: work.tau[i, m],
+            )
+            for i in receivers:
+                pis = response_times(alpha, work.lam, work.caps, work.tau)
+                load_avail = alpha[j, m] * work.lam[j]
+                row_room = max(0.0, 1.0 - alpha[i].sum()) * work.lam[i]
+                slack_i = max(0.0, work.theta - (pis[i] if alpha[i].sum() > 0 else 0.0))
+                price_i = (work.tau[i, m] + delta_m) / work.lam[i]
+                budget_room = slack_i / price_i if price_i > 0 else np.inf
+                d = min(load_avail, row_room, budget_room) * (1 - 1e-12)
+                if d <= 1e-9:
+                    continue
+                alpha[j, m] -= d / work.lam[j]
+                alpha[i, m] += d / work.lam[i]
+                if alpha[j, m] < 1e-12:
+                    alpha[j, m] = 0.0
+                moved = True
+    return moved
+
+
+def tied_slice(rng, n):
+    """``mesh_slice`` with round trips on a 3-value grid, so many tie in tau."""
+    inst = mesh_slice(rng, n)
+    rtt = np.triu(rng.choice([0.01, 0.02, 0.03], (n, n)), 1)
+    return SliceInstance(
+        service=inst.service,
+        nodes=inst.nodes,
+        energy=inst.energy,
+        arrivals=inst.arrivals,
+        neighbors=inst.neighbors,
+        rtt=rtt + rtt.T,
+    )
+
+
+def swap_start(rng, work, random_rows):
+    """An alpha for ``_swap_pass``: the ascent's, or random rows inside each
+    sender's allowed set, with -0.0 in some of the empty entries."""
+    n = work.n
+    alpha = np.zeros((n, n))
+    if random_rows:
+        share = rng.random((n, n)) * work.allowed * work.is_sender[:, None] * (rng.random((n, n)) < 0.6)
+        alpha = share / np.maximum(share.sum(axis=1, keepdims=True), 1.0) * rng.uniform(0.3, 1.0)
+    else:
+        _ascent(work, alpha)
+    alpha[(alpha == 0) & (rng.random((n, n)) < 0.5)] = -0.0
+    return alpha
+
+
+class TestSliceState:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.booleans())
+    def test_swap_pass_matches_reference(self, seed, n, ties):
+        """Ties in tau, zero-capacity destinations and -0.0 entries included."""
+        rng = np.random.default_rng(seed)
+        inst = tied_slice(rng, n) if ties else mesh_slice(rng, n)
+        work = _SliceWork(inst)
+        assume(work.senders)
+        alpha = swap_start(rng, work, ties)
+        event(f"zero-capacity destination: {bool((work.caps == 0).any())}")
+        for _ in range(3):
+            ref = alpha.copy()
+            ref_moved = reference_swap_pass(_SliceWork(inst), ref)
+            moved = _swap_pass(work, alpha)
+            event(f"swap moved: {moved}")
+            assert moved == ref_moved
+            assert alpha.tobytes() == ref.tobytes()
+            if not moved:
+                break
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
+    def test_in_place_changes_are_seen(self, seed, n):
+        """Between calls alpha changes in place; every answer is a fresh slice's."""
+        rng = np.random.default_rng(seed)
+        inst = mesh_slice(rng, n)
+        work = _SliceWork(inst)
+        assume(work.senders)
+        alpha = np.zeros((n, n))
+        _ascent(work, alpha)
+        i, z = int(rng.choice(work.senders)), int(rng.integers(n))
+        delta = rng.random((n, n)) * work.allowed * work.is_sender[:, None]
+
+        def row(a):
+            a[i] = rng.random(n) * work.allowed[i]
+
+        def step(a):
+            a += 0.1 * delta
+
+        def zero(a):
+            a[i, z] = 0.0
+
+        def flip(a):
+            a[i, z] = -a[i, z]  # +0.0 <-> -0.0
+
+        for change in (row, step, zero, flip, flip):
+            work.max_violation(alpha)
+            _row_boxes(work, alpha, i)
+            before = work.state(alpha)
+            change(alpha)
+            if change is flip:
+                assert work.state(alpha) is not before  # a signed-zero flip is a miss
+            fresh = _SliceWork(inst)
+            assert np.float64(work.max_violation(alpha)).tobytes() == np.float64(
+                fresh.max_violation(alpha.copy())
+            ).tobytes()
+            for k in work.senders:
+                with np.errstate(over="ignore"):  # a tiny share's quotient may overflow to inf
+                    got, want = _row_boxes(work, alpha, k), _row_boxes(fresh, alpha.copy(), k)
+                assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+    def test_same_bytes_share_one_state_and_it_is_read_only(self):
+        work = _SliceWork(pair_slice([5, 5], [80.0, 20.0]))
+        alpha = np.array([[0.5, 0.2], [0.0, 0.9]])
+        state = work.state(alpha)
+        assert work.state(alpha.copy()) is state
+        assert state.violation == work.max_violation(alpha)
+        for cached in (state.alpha, state.loads, state.pis):
+            with pytest.raises(ValueError):
+                cached[0] = 1.0
+        alpha[0, 0] = 0.4
+        assert work.state(alpha) is not state
+        assert state.alpha[0, 0] == 0.5  # the kept copy never sees the caller's change
 
 
 def reference_last_feasible(feasible, hi, steps):
