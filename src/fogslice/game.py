@@ -19,16 +19,14 @@ safeguarded Newton probes answer nearly all of its steps, and the result is
 the bisection's to the last bit.  Every stage that backs off along a segment
 start + s*delta to stay feasible finds its step with one method,
 ``_SliceWork.last_feasible``, a bisection (``_last_feasible``) on that
-segment.  The constraints a move touches are convex along its segment, so
-``_SliceWork.step_bracket`` finds, constraint by constraint, where the first
-of them gives out, and the bisection checks only the mids within a float
-margin of that step: the verdicts of the others are known, and the step is
-the full bisection's to the last bit.  Every check, row bound and swap reads
-the slice's loads, responses and verdict through ``_SliceWork.state``, which
-keeps them for the offload matrix last seen, keyed on its bytes: each
-distinct matrix's are computed once, however many stages ask.  A
-grid-search oracle (oracles module) backstops the whole pipeline on
-desk-size instances.
+segment.  It checks the mids of the next few bisection levels as one stack
+of matrices, each with the arithmetic a check of that matrix alone does, so
+the step is the one-mid-at-a-time bisection's to the last bit.  Every other
+check, row bound and swap reads the slice's loads, responses and verdict
+through ``_SliceWork.state``, which keeps them for the offload matrix last
+seen, keyed on its bytes: each distinct matrix's are computed once, however
+many stages ask.  A grid-search oracle (oracles module) backstops the whole
+pipeline on desk-size instances.
 """
 
 from __future__ import annotations
@@ -414,6 +412,25 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _violations(work: _SliceWork, alpha, loads, pis):
+    """Largest constraint excess of one offload matrix, or of each in a stack.
+
+    ``alpha`` is (n, n) or a stack (m, n, n), with its ``loads`` and
+    responses ``pis`` ((n,) or (m, n) each).  > 0 means infeasible, inf on
+    a NaN entry.  Only destinations actually carrying load are held to the
+    residual floor; an idle zero-capacity node violates nothing.  Every
+    reduction is a max, so each matrix of a stack gets its own value to the
+    last bit.
+    """
+    rows = alpha.sum(axis=-1)
+    top = rows.max(axis=-1, initial=0.0)
+    over = np.where(loads > 1e-12, loads - (work.caps - RESIDUAL_FLOOR / 2), -np.inf)
+    late = np.where(work.is_sender & (rows > 0), (pis - work.theta) / max(work.theta, 1e-9), np.nan)
+    # fmax skips a NaN response, and the unchecked senders, the way a running max() does
+    worst = np.fmax(over.max(axis=-1), np.fmax.reduce(late, axis=-1))
+    return np.where(np.isnan(top), np.inf, np.maximum(worst, top - 1.0))
+
+
 class _SliceState:
     """One offload matrix's loads, responses and verdict, each computed at most once.
 
@@ -441,30 +458,10 @@ class _SliceState:
 
     @property
     def violation(self) -> float:
-        """Largest constraint excess: > 0 means infeasible, inf on a NaN entry.
-
-        Only destinations actually carrying load are held to the residual
-        floor; an idle zero-capacity node violates nothing.
-        """
+        """``_violations`` of this matrix."""
         if self._violation is None:
-            self._violation = self._excess()
+            self._violation = float(_violations(self.work, self.alpha, self.loads, self.pis))
         return self._violation
-
-    def _excess(self) -> float:
-        w = self.work
-        rows = self.alpha.sum(axis=1)
-        top = float(rows.max(initial=0.0))
-        if math.isnan(top):
-            return math.inf  # the max() calls below would skip a NaN
-        loads = self.loads
-        used = loads > 1e-12
-        worst = -np.inf
-        if used.any():
-            worst = float(np.max(loads[used] - (w.caps[used] - RESIDUAL_FLOOR / 2)))
-        late = (self.pis[w.is_sender & (rows > 0)] - w.theta) / max(w.theta, 1e-9)
-        # fmax skips a NaN response the way a running max() does
-        worst = float(np.fmax.reduce(late, initial=worst))
-        return max(worst, top - 1.0)
 
 
 class _SliceWork:
@@ -480,6 +477,9 @@ class _SliceWork:
         self.theta = instance.service.deadline
         self.senders = [i for i in range(self.n) if self.lam[i] > 0]
         self.is_sender = self.lam > 0
+        # bisection levels checked per stacked call: a small slice's check
+        # costs mostly its call, a large one's its n x n arithmetic
+        self.depth = 4 if self.n <= 4 else 2 if self.n <= 8 else 1
         self._state: _SliceState | None = None
 
     def state(self, alpha) -> _SliceState:
@@ -522,196 +522,58 @@ class _SliceWork:
     def feasible(self, alpha) -> bool:
         return self.max_violation(alpha) <= FEAS_TOL
 
-    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-    def step_bracket(self, start, delta, hi: float):
-        """Steps of the segment start + s*delta, 0 <= s <= hi, whose verdict is known.
-
-        Returns (good, bad): ``feasible(start + s * delta)``, the step's
-        alpha computed as ``last_feasible`` computes it, fails at every step
-        in [bad, hi] and, if good > 0, passes at every step in [good/2, good].
-        ``_last_feasible`` may take those verdicts without a check: a
-        bisection of [0, hi] takes a pass below good only above good/2.
-        (0, inf) claims nothing.  Shares are assumed non-negative along the
-        segment, as every stage's are.
-
-        Only the constraints the move touches are read.  Every other one is
-        computed from the same bits at every step, so the check of the start
-        decides it for the whole segment.  Each touched one applies
-        ``max_violation``'s rule and is convex in s:
-        - a capacity row holds its load, affine in s, to max(1e-12,
-          c - RESIDUAL_FLOOR/2 + FEAS_TOL): its ``used`` test folded in;
-        - a row total, affine in s, is held to 1 + FEAS_TOL;
-        - a deadline row holds sum a (tau + 1/r) to theta + FEAS_TOL *
-          max(theta, 1e-9), with a and r affine in s.  Up to the capacity
-          row's root r > 0, so ``SATURATION_TOL`` only acts on a queue with
-          no capacity, where the first positive share fails.  A row at total
-          0 has no response and none to hold.
-        With the start passing, each holds from 0 to its first root: closed
-        form for the affine rows, a safeguarded Newton iteration for the
-        deadlines.  Near the first root of all, a verdict counts as known
-        where the value clears its threshold by 4 E.  E bounds the rounding
-        of ``max_violation``'s arithmetic, and twice E also covers this
-        evaluation's own: a sum of n terms rounds by at most n + 4 units u
-        of its magnitude (u the unit roundoff), and a deadline adds 2 a dr /
-        r^2 per queue, dr the rounding of its residual r.  That is checked at
-        bad, past which the failing constraint keeps rising, and over
-        [good/2, good], where convexity bounds each constraint by its ends.
-        """
-        senders = self.is_sender
-        moves = (delta[senders] != 0).any(axis=0)  # queues whose load moves
-        idle = moves & (self.caps <= 2 * SATURATION_TOL)
-        if idle.any():
-            # a queue with no residual: the first positive share on it fails
-            into = delta[senders][:, idle]
-            if np.all(self.caps[idle] <= SATURATION_TOL) and np.all(into >= 0):
-                return 0.0, 4 * math.ulp(0.0) / float(into.max())
-            return 0.0, math.inf
-        if not (np.isfinite(delta).all() and self.feasible(start)):
-            return 0.0, math.inf
-        n, lam, caps, u, margin = self.n, self.lam, self.caps, np.finfo(float).eps / 2, 4.0
-        rows = (delta != 0).any(axis=1)
-        touched = senders & (rows | ((start > 0) & moves).any(axis=1))
-        # the queues a touched sender uses or moves onto
-        used = ((start[touched] > 0) | (delta[touched] != 0)).any(axis=0)
-        pick = np.ix_(touched, used)
-        a0, da = start[pick], delta[pick]
-        mine = (a0 != 0) | (da != 0)
-        tau = np.where(mine, self.tau[pick], 0.0)  # a round trip never taken may be inf
-        if not np.isfinite(tau).all():
-            return 0.0, math.inf
-        load0, dload = start.T @ lam, delta.T @ lam
-        mag0, dmag = np.abs(start).T @ lam, np.abs(delta).T @ lam
-        r0, dl = caps[used] - load0[used], dload[used]
-        # rounding of a residual: (n + 2) u of its load's magnitude, u of itself
-        rnd0, rnd1 = (n + 2) * u * mag0[used], (n + 2) * u * dmag[used]
-        ua0, u2da = u * np.abs(a0), 2 * u * np.abs(da)
-        # the affine rows, moving capacity rows then moving row totals: v0 + s vk
-        # against thr, with rounding bound e0 + s ek
-        cap_thr = np.maximum(1e-12, caps[moves] - RESIDUAL_FLOOR / 2 + FEAS_TOL)
-        v0 = np.concatenate([load0[moves], start[rows].sum(axis=1)])
-        vk = np.concatenate([dload[moves], delta[rows].sum(axis=1)])
-        thr = np.concatenate([cap_thr, np.full(int(rows.sum()), 1.0 + FEAS_TOL)])
-        e0 = (n + 2) * u * np.concatenate(
-            [mag0[moves] + caps[moves] + cap_thr, np.abs(start[rows]).sum(axis=1) + 1.0]
-        )
-        ek = (n + 2) * u * np.concatenate([dmag[moves], np.abs(delta[rows]).sum(axis=1)])
-        late = self.theta + FEAS_TOL * max(self.theta, 1e-9)
-
-        def at(*steps):
-            """Touched senders' responses and their slopes, each (len(steps), senders)."""
-            s = np.array(steps)[:, None, None]
-            a, r = a0 + s * da, r0 - s * dl
-            inv = 1.0 / r
-            wait = tau + inv
-            return s, a, r, inv, (a * wait).sum(axis=-1), (da * wait + a * dl * inv * inv).sum(axis=-1)
-
-        def measure(*steps):
-            """Each touched constraint's excess and slope at each step, and one rounding
-            bound for all steps between the first and the last."""
-            s, a, r, inv, pi, slope = at(*steps)
-            # the share, the load and the residual are affine in s: each
-            # term of the bound peaks at one end
-            dr = (rnd0 + s * rnd1 + u * np.abs(r)).max(axis=0)
-            top = np.abs(inv).max(axis=0)
-            err = 2 * np.abs(a).max(axis=0) * dr * top * top + (ua0 + s[-1] * u2da) * (tau + 2 * top)
-            err = err.sum(axis=-1) + (n + 4) * u * pi.max(axis=0)
-            # too near saturation to bound
-            err[(mine & (2 * dr >= r.min(axis=0))).any(axis=-1)] = np.inf
-            line = v0 + s[:, :, 0] * vk
-            return (
-                np.concatenate([line - thr, pi - late], axis=1),
-                np.concatenate([e0 + s[-1, 0] * ek, err]),
-                np.concatenate([np.broadcast_to(vk, line.shape), slope], axis=1),
-            )
-
-        roots = np.where(vk > 0, (thr - v0) / vk, np.inf)
-        first = min(hi, max(float(roots.min(initial=np.inf)), 0.0))
-        # below ``first`` every residual stays positive; find the deadlines' first root
-        _, _, r, _, pi, slope = at(first)
-        if pi.size and pi.max() > late:
-            left, right, step = 0.0, first, first
-            for _ in range(64):
-                j = int(pi[0].argmax())
-                excess, rate = float(pi[0, j]) - late, float(slope[0, j])
-                if excess > 0:
-                    right = step
-                else:
-                    left = step
-                if abs(excess) <= 2**-30 * late or right - left <= 2**-40 * right:
-                    break
-                # Newton on the excess times the residual of the sender's
-                # nearest filling queue: linear in s for one queue's a / r, so
-                # it stays quick next to that queue's pole
-                resid = np.where(mine[j] & (dl > 0), r[0, 0], np.inf)
-                m = int(resid.argmin())
-                rm, dm = (float(resid[m]), float(dl[m])) if resid[m] < np.inf else (1.0, 0.0)
-                guess = step - excess * rm / (rate * rm - excess * dm)
-                if guess <= left == 0.0:
-                    right = 0.0  # the root is at the start
-                    break
-                step = guess if left < guess < right else 0.5 * (left + right)
-                _, _, r, _, pi, slope = at(step)
-            first = min(max(step - excess / rate, left), right) if rate > 0 else right
-
-        # step off the root by 4 E over each rising constraint's slope, then
-        # check the claims, widening a side that does not hold
-        excess, bound, slope = measure(first)
-        excess, slope = excess[0], slope[0]
-        rising = slope > 0
-        tiny = 4 * math.ulp(first)
-        to_fail = float(np.where(rising, (margin * bound - excess) / slope, np.inf).min(initial=np.inf))
-        to_pass = float(np.where(rising, (excess + margin * bound) / slope, 0.0).max(initial=0.0))
-        to_fail, to_pass = max(to_fail, 0.0) + tiny, max(to_pass, 0.0)
-        good, bad, want_good, want_bad = 0.0, math.inf, True, first < hi
-        for _ in range(3):
-            down, up = first - 2 * to_pass, first + 2 * to_fail
-            want_good = want_good and down > 0
-            steps = ((down / 2, down) if want_good else ()) + ((up,) if want_bad else ())
-            if not steps:
-                break
-            excess, bound, slope = measure(*steps)
-            if want_good and np.all(excess[:2].max(axis=0) + margin * bound <= 0):
-                good, want_good = down, False
-            if want_bad and np.any((excess[-1] > margin * bound) & (slope[-1] > 0)):
-                bad, want_bad = up, False
-            to_pass, to_fail = 16 * to_pass + tiny, 16 * to_fail
-        return good, bad
-
     def last_feasible(self, start, delta, hi: float, steps: int) -> float:
         """Last feasible step of start + s*delta a ``steps``-step bisection of [0, hi] finds.
 
-        The one back-off search of every stage: ``step_bracket`` tells
-        ``_last_feasible`` which mids' verdicts are already known, so most
-        of them cost no check, and the step is the full bisection's to the
+        The one back-off search of every stage.  ``_last_feasible`` asks for
+        the verdicts of ``depth`` levels of mids at once; they are checked
+        as one stack, each matrix start + s*delta with ``feasible``'s
+        arithmetic, so the step is the one-mid-at-a-time bisection's to the
         last bit.
         """
-        return _last_feasible(
-            lambda s: self.feasible(start + s * delta), hi, steps, *self.step_bracket(start, delta, hi)
-        )
+
+        def verdicts(mids):
+            stack = start + np.array(mids)[:, None, None] * delta
+            loads = np.swapaxes(stack, -1, -2) @ self.lam
+            pis = response_times(stack, self.lam, self.caps, self.tau)
+            return _violations(self, stack, loads, pis) <= FEAS_TOL
+
+        return _last_feasible(verdicts, hi, steps, self.depth)
 
 
-def _last_feasible(feasible, hi: float, steps: int, good: float = 0.0, bad: float = math.inf) -> float:
-    """The lo a ``steps``-step bisection of [0, hi] on ``feasible`` ends on.
+def _last_feasible(verdicts, hi: float, steps: int, depth: int) -> float:
+    """The lo a ``steps``-step bisection of [0, hi] ends on.
 
     Each step tests mid = (lo + hi) / 2 and moves lo up on a pass, hi down
     on a fail.  Once mid equals lo, or an hi the loop itself saw fail, every
     later step repeats a verdict, so the loop stops there with the same lo
-    for any deterministic ``feasible``.  The given hi is never assumed to fail.
+    for any deterministic verdict.  The given hi is never assumed to fail.
 
-    ``feasible`` runs only on mids strictly between ``good`` and ``bad``; a
-    mid at or below good is taken as a pass, one at or above bad as a fail.
-    With the bracket ``_SliceWork.step_bracket`` gives, those are the
-    verdicts ``feasible`` would return, so lo is the same to the last bit.
+    ``verdicts(mids)`` answers ``depth`` levels at once: the 2^depth - 1
+    mids those levels can visit, in heap order (the children of mid k,
+    after a fail and after a pass, are 2k + 1 and 2k + 2), each computed as
+    the loop computes it.  The loop then walks down their verdicts; a call
+    whose first mid already stops the loop is never made.
     """
     lo, failed_hi = 0.0, False
-    for _ in range(steps):
-        mid = (lo + hi) / 2
-        if mid == lo or (mid == hi and failed_hi):
-            break
-        if feasible(mid) if good < mid < bad else mid <= good:
-            lo = mid
-        else:
-            hi, failed_hi = mid, True
+    while steps > 0:
+        levels = min(depth, steps)
+        steps -= levels
+        mids, spans = [], [(lo, hi)]
+        for _ in range(levels):
+            mids += [(a + b) / 2 for a, b in spans]
+            spans = [half for (a, b), m in zip(spans, mids[-len(spans) :]) for half in ((a, m), (m, b))]
+        ok, k = None, 0
+        for _ in range(levels):
+            mid = mids[k]
+            if mid == lo or (mid == hi and failed_hi):
+                return lo
+            if ok is None:
+                ok = verdicts(mids)
+            if ok[k]:
+                lo, k = mid, 2 * k + 2
+            else:
+                hi, failed_hi, k = mid, True, 2 * k + 1
     return lo
 
 
@@ -975,8 +837,8 @@ def solve_offload(instance: SliceInstance) -> OffloadSolution:
     stage that may overshoot a constraint backs off to the last feasible
     step that ``_SliceWork.last_feasible`` finds on its segment: a row
     update toward its old row, a polish transfer back toward its source,
-    the NLP's point toward zero.  Its bracket tells the bisection which of
-    its mids' verdicts are already known, so most of them cost no check.
+    the NLP's point toward zero.  The bisection checks the mids of several
+    levels as one stack, so a small slice pays one call per few levels.
     Each distinct alpha's loads, responses and verdict are computed once
     (``_SliceWork.state``): a row the water-fill leaves unchanged is checked
     for free, and a swap pass recomputes responses only after a swap.

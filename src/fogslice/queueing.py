@@ -70,21 +70,24 @@ def response_times(
     Only entries with alpha[i, m] > 0 count.  A sender placing workload on a
     destination without residual capacity (within 1e-9) gets inf.
 
+    A stack of matrices (..., n, n) gets one row of responses per matrix
+    (..., n), each the bytes that matrix gets alone.
+
     Args:
-        alpha: Offload fraction matrix (n x n), row per sender.
+        alpha: Offload fraction matrix (n x n), row per sender, or a stack.
         arrivals: Arrival rate per node (n,), requests/s.
         capacities: Activated capacity per node (n,), requests/s.
         rtt: Round-trip times (n x n), zero diagonal.
     """
-    loads = alpha.T @ arrivals
+    loads = np.swapaxes(alpha, -1, -2) @ arrivals
     residual = capacities - loads
-    delay = np.full(len(capacities), np.inf)
+    delay = np.full(residual.shape, np.inf)
     ok = residual > SATURATION_TOL
     delay[ok] = 1.0 / residual[ok]
     with np.errstate(invalid="ignore"):
-        terms = alpha * (rtt + delay[None, :])
+        terms = alpha * (rtt + delay[..., None, :])
     terms[~(alpha > 0)] = 0.0
-    return terms.sum(axis=1)
+    return terms.sum(axis=-1)
 
 
 def optimal_local_fraction(

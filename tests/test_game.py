@@ -32,6 +32,7 @@ from fogslice.game import (
     _SliceWork,
     _swap_pass,
     _trim_energy,
+    _violations,
     _waterfill,
     check_core,
     dump_instance,
@@ -832,74 +833,60 @@ def step_searches(draw):
     return hi, lambda step: step <= at
 
 
-def segment(kind, start, delta, i):
-    """alpha at step s, rounded as the solver stage of that kind wrote it on its own.
-
-    Before ``_SliceWork.last_feasible``, a row back-off wrote old + s*delta
-    into row i, a transfer wrote avail - s and kept + s into two entries, and
-    the pull-back scaled the NLP's point by s.
-    """
-    if kind == "pullback":
-        return lambda s: delta * s
-    if kind == "transfer":
-        source, target = int(np.argmin(delta[i])), int(np.argmax(delta[i]))
-        avail, kept = start[i, source], start[i, target]
-
-        def at(s):
-            alpha = start.copy()
-            alpha[i, source], alpha[i, target] = avail - s, kept + s
-            return alpha
-
-        return at
-    old = start[i]
-
-    def toward(s):
-        alpha = start.copy()
-        alpha[i] = old + s * delta[i]
-        return alpha
-
-    return toward
-
-
-def check_bracket(work, kind, start, delta, i, hi, steps=60):
-    """Every verdict ``step_bracket`` claims on the segment is the one ``feasible`` computes.
-
-    The segment is start + s*delta, as ``_SliceWork.last_feasible``
-    evaluates it; at each of the reference bisection's mids it is, byte for
-    byte, the alpha the stage of that kind wrote on its own (``segment``).
-    The claims are checked on those mids, on the ends of both claimed
-    ranges and on the floats next to them; the bracketed search must end
-    where the reference does.
-    """
-    at = lambda s: start + s * delta
-    stage_at = segment(kind, start, delta, i)
-    verdict = lambda s: work.feasible(at(s))
-    good, bad = work.step_bracket(start, delta, hi)
-    probes = []
-    ref = reference_last_feasible(lambda s: probes.append(s) or verdict(s), hi, steps)
-    assert _last_feasible(verdict, hi, steps, good, bad).hex() == ref.hex()
-    for s in probes:
-        assert at(s).tobytes() == stage_at(s).tobytes(), (kind, s)
-    ends = [good / 2, math.nextafter(good / 2, math.inf), math.nextafter(good, 0.0), good]
-    ends += [bad, math.nextafter(bad, math.inf), math.nextafter(hi, 0.0), hi]
-    for s in probes + ends:
-        if 0 < good / 2 <= s <= good:
-            assert verdict(s), (kind, s, good, bad)
-        if bad <= s <= hi:
-            assert not verdict(s), (kind, s, good, bad)
-    return good, bad
-
-
 def transfer_delta(n, i, source, target):
     delta = np.zeros((n, n))
     delta[i, source], delta[i, target] = -1.0, 1.0
     return delta
 
 
+def last_passing_local_share(work):
+    """The last float local share of sender 0 that passes with 0.1 sent to node 1."""
+    lo, hi = 0.0, 1.0
+    while lo < (lo + hi) / 2 < hi:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if work.feasible(np.array([[mid, 0.1], [0.0, 0.0]])) else (lo, mid)
+    assert not work.feasible(np.array([[hi, 0.1], [0.0, 0.0]]))
+    return lo
+
+
+def edge_segment(kind):
+    """(work, start, delta, i, hi, steps) of a hand-built pair segment."""
+    if kind.startswith("zero-capacity"):
+        # node 1 has no capacity: any share moved there fails at once
+        work = _SliceWork(pair_slice([5, 0], [30.0, 0.0]))
+        start = np.array([[0.5, 0.0], [0.0, 0.0]])
+        if kind.endswith("transfer"):
+            return work, start, transfer_delta(2, 0, 0, 1), 0, 0.5, 50
+        return work, start, np.array([[0.1, 0.2], [0.0, 0.0]]), 0, 1.0, 60
+    if kind.startswith("near-saturation"):
+        # node 0 near saturation: a long deadline lets its residual reach the floor
+        work = _SliceWork(pair_slice([5, 5], [80.0, 0.0], deadline=1e7))
+        if kind.endswith("transfer"):
+            near = np.array([[(50.0 - 6e-7) / 80, 0.1], [0.0, 0.0]])
+            assert work.feasible(near)
+            return work, near, transfer_delta(2, 0, 1, 0), 0, 0.1, 50
+        start = np.array([[0.3, 0.1], [0.0, 0.0]])
+        return work, start, np.array([[(50.0 - 1e-7) / 80 - 0.3, 0.0], [0.0, 0.0]]), 0, 1.0, 60
+    if kind.startswith("full-row"):
+        # a row at total 1, pushed past it by a back-off, and moved by a transfer
+        work = _SliceWork(pair_slice([5, 5], [20.0, 0.0]))
+        start = np.array([[0.5, 0.5], [0.0, 0.0]])
+        if kind.endswith("transfer"):
+            return work, start, transfer_delta(2, 0, 0, 1), 0, 0.5, 50
+        return work, start, np.array([[0.2, 0.0], [0.0, 0.0]]), 0, 1.0, 60
+    # the local share at the last float that passes: moving any of the
+    # remote share onto the congested local queue is blocked
+    work = _SliceWork(pair_slice([2, 5], [40.0, 0.0]))
+    start = np.array([[last_passing_local_share(work), 0.1], [0.0, 0.0]])
+    return work, start, transfer_delta(2, 0, 1, 0), 0, 0.1, 50
+
+
 def solver_segment(seed, n, kind, push):
     """(work, start, delta, i, hi, steps) of a segment a solver stage of that kind
     searches, on a slice the ascent has filled: a row back-off, a polish
-    transfer or the NLP pull-back."""
+    transfer or the NLP pull-back.  Other kinds name an ``edge_segment``."""
+    if kind not in ("backoff", "transfer", "pullback"):
+        return edge_segment(kind)
     rng = np.random.default_rng(seed)
     work = _SliceWork(mesh_slice(rng, n))
     assume(work.senders)
@@ -926,103 +913,84 @@ def solver_segment(seed, n, kind, push):
     return work, alpha, delta, i, 1.0, 60
 
 
+@st.composite
+def offload_stacks(draw):
+    """(work, stack): 1-15 offload matrices of one random slice of up to 8 nodes,
+    with NaN and -0.0 entries, idle and zero-capacity queues, and columns
+    filled to within rounding of their capacity."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 15))
+    work = _SliceWork(mesh_slice(rng, n))
+    open_ = work.allowed & work.is_sender[:, None]
+    stack = rng.random((m, n, n)) * open_ * (rng.random((m, n, n)) < 0.7)
+    stack *= draw(st.floats(0.0, 2.0)) / np.maximum(stack.sum(axis=-1, keepdims=True), 1e-300)
+    for a in stack:
+        if work.senders and rng.random() < 0.5:
+            # fill one queue to its capacity through one sender
+            j, col = int(rng.choice(work.senders)), int(rng.integers(n))
+            a[j, col] = 0.0
+            a[j, col] = max(work.caps[col] - a[:, col] @ work.lam, 0.0) / work.lam[j]
+    stack[(stack == 0) & (rng.random((m, n, n)) < 0.3)] = -0.0
+    stack[rng.random((m, n, n)) < draw(st.sampled_from([0.0, 0.05]))] = math.nan
+    return work, stack
+
+
 class TestFeasibleStep:
     @settings(max_examples=400, deadline=None)
-    @given(step_searches(), st.sampled_from([50, 60]))
-    @example((1.0, lambda step: True), 60)
-    @example((math.ulp(0.0), lambda step: True), 60)
-    @example((3 * math.ulp(0.0), lambda step: step == 0.0), 50)
-    def test_matches_fixed_step_bisection(self, search, steps):
+    @given(step_searches(), st.sampled_from([50, 60]), st.integers(1, 4))
+    @example((1.0, lambda step: True), 60, 1)
+    @example((math.ulp(0.0), lambda step: True), 60, 4)
+    @example((3 * math.ulp(0.0), lambda step: step == 0.0), 50, 3)
+    def test_matches_fixed_step_bisection(self, search, steps, depth):
         hi, feasible = search
-        ref_probes, probes = [], []
+        ref_probes, calls = [], []
         ref = reference_last_feasible(lambda s: ref_probes.append(s) or feasible(s), hi, steps)
-        got = _last_feasible(lambda s: probes.append(s) or feasible(s), hi, steps)
+        got = _last_feasible(lambda mids: calls.append(mids) or [feasible(s) for s in mids], hi, steps, depth)
         assert got.hex() == ref.hex()
+        # each call asks for the 2^levels - 1 mids of the next levels, the
+        # first of them the reference's probe at the first of those levels
+        assert [len(mids) for mids in calls] == [2 ** min(depth, steps - depth * k) - 1 for k in range(len(calls))]
+        assert [mids[0] for mids in calls] == ref_probes[::depth][: len(calls)]
         # the early stop only drops the tail of the reference's probes
-        assert probes == ref_probes[: len(probes)]
-
-    @settings(max_examples=400, deadline=None)
-    @given(step_searches(), st.sampled_from([50, 60]), st.data())
-    def test_bracket_only_skips_checks(self, search, steps, data):
-        """Any bracket the predicate bears out keeps lo; only mids inside it are checked."""
-        hi, feasible = search
-        ref_probes = []
-        ref = reference_last_feasible(lambda s: ref_probes.append(s) or feasible(s), hi, steps)
-        verdicts = sorted((s, feasible(s)) for s in ref_probes)
-        # good: 0 or a probe with every probe at or below it passing; bad:
-        # inf or a probe with every probe at or above it failing
-        goods = [0.0] + [s for k, (s, _) in enumerate(verdicts) if all(v for _, v in verdicts[: k + 1])]
-        bads = [math.inf] + [s for k, (s, _) in enumerate(verdicts) if not any(v for _, v in verdicts[k:])]
-        good, bad = data.draw(st.sampled_from(goods)), data.draw(st.sampled_from(bads))
-        probes = []
-        got = _last_feasible(lambda s: probes.append(s) or feasible(s), hi, steps, good, bad)
-        assert got.hex() == ref.hex()
-        assert all(good < s < bad for s in probes)
-        assert probes == [s for s in ref_probes if good < s < bad][: len(probes)]
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.integers(0, 2**32 - 1),
-        st.integers(2, 4),
-        st.sampled_from(["backoff", "transfer", "pullback"]),
-        st.floats(0.0, 1.0),
-    )
-    def test_bracket_verdicts_on_solver_segments(self, seed, n, kind, push):
-        """On a slice the ascent has filled, the bracket of each segment kind claims only true verdicts."""
-        work, start, delta, i, hi, steps = solver_segment(seed, n, kind, push)
-        good, bad = check_bracket(work, kind, start, delta, i, hi, steps)
-        if kind == "transfer":
-            event("transfer blocked at 0" if bad < 1e-300 else "transfer bracketed")
+        for k, s in enumerate(ref_probes[: depth * max(len(calls) - 1, 0)]):
+            assert s in calls[k // depth]
 
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(0, 2**32 - 1),
-        st.integers(2, 4),
+        st.integers(2, 10),
         st.sampled_from(["backoff", "transfer", "pullback"]),
         st.floats(0.0, 1.0),
     )
+    @example(0, 2, "zero-capacity transfer", 0.0)
+    @example(0, 2, "zero-capacity backoff", 0.0)
+    @example(0, 2, "near-saturation backoff", 0.0)
+    @example(0, 2, "near-saturation transfer", 0.0)
+    @example(0, 2, "full-row backoff", 0.0)
+    @example(0, 2, "full-row transfer", 0.0)
+    @example(0, 2, "blocked transfer", 0.0)
     def test_last_feasible_matches_reference(self, seed, n, kind, push):
-        """The stages' one search ends where a full bisection of start + s*delta does."""
+        """The stages' one search ends where a one-mid-at-a-time bisection of start + s*delta does."""
         work, start, delta, i, hi, steps = solver_segment(seed, n, kind, push)
+        event(f"levels per check: {work.depth}")
         ref = reference_last_feasible(lambda s: work.feasible(start + s * delta), hi, steps)
         assert work.last_feasible(start, delta, hi, steps).hex() == ref.hex()
 
-    def test_bracket_on_edge_segments(self):
-        """A zero-capacity neighbour, a queue near saturation, a row at total 1, a blocked transfer."""
-        # zero capacity at node 1: any share moved there fails at once
-        work = _SliceWork(pair_slice([5, 0], [30.0, 0.0]))
-        start = np.array([[0.5, 0.0], [0.0, 0.0]])
-        good, bad = check_bracket(work, "transfer", start, transfer_delta(2, 0, 0, 1), 0, 0.5, 50)
-        assert good == 0.0 and bad < 1e-300
-        delta = np.array([[0.1, 0.2], [0.0, 0.0]])
-        assert check_bracket(work, "backoff", start, delta, 0, 1.0)[1] < 1e-300
-        # node 0 near saturation: a long deadline lets its residual reach the floor
-        work = _SliceWork(pair_slice([5, 5], [80.0, 0.0], deadline=1e7))
-        start = np.array([[0.3, 0.1], [0.0, 0.0]])
-        delta = np.array([[(50.0 - 1e-7) / 80 - 0.3, 0.0], [0.0, 0.0]])
-        good, bad = check_bracket(work, "backoff", start, delta, 0, 1.0)
-        assert 0.0 < good < bad < 1.0
-        near = np.array([[(50.0 - 6e-7) / 80, 0.1], [0.0, 0.0]])
-        assert work.feasible(near)
-        check_bracket(work, "transfer", near, transfer_delta(2, 0, 1, 0), 0, 0.1, 50)
-        # a row at total 1, pushed past it by a back-off, and moved by a transfer
-        work = _SliceWork(pair_slice([5, 5], [20.0, 0.0]))
-        start = np.array([[0.5, 0.5], [0.0, 0.0]])
-        delta = np.array([[0.2, 0.0], [0.0, 0.0]])
-        good, bad = check_bracket(work, "backoff", start, delta, 0, 1.0)
-        assert 0.0 < good < 5e-9 < bad
-        check_bracket(work, "transfer", start, transfer_delta(2, 0, 0, 1), 0, 0.5, 50)
-        # the local share at the last float that passes: moving any of the
-        # remote share onto the congested local queue is blocked
-        work = _SliceWork(pair_slice([2, 5], [40.0, 0.0]))
-        lo, hi = 0.0, 1.0
-        while lo < (lo + hi) / 2 < hi:
-            mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if work.feasible(np.array([[mid, 0.1], [0.0, 0.0]])) else (lo, mid)
-        start = np.array([[lo, 0.1], [0.0, 0.0]])
-        assert not work.feasible(np.array([[hi, 0.1], [0.0, 0.0]]))
-        good, bad = check_bracket(work, "transfer", start, transfer_delta(2, 0, 1, 0), 0, 0.1, 50)
-        assert good == 0.0 and bad < 1e-12
+    @settings(max_examples=300, deadline=None)
+    @given(offload_stacks())
+    def test_stacked_checks_match_single(self, drawn):
+        """Loads, responses and verdict of a stack are, matrix by matrix, those of the matrix alone."""
+        work, stack = drawn
+        loads = np.swapaxes(stack, -1, -2) @ work.lam
+        pis = response_times(stack, work.lam, work.caps, work.tau)
+        verdicts = _violations(work, stack, loads, pis)
+        for k, alpha in enumerate(stack):
+            alone = _SliceWork(work.instance).state(alpha)
+            assert loads[k].tobytes() == alone.loads.tobytes()
+            assert pis[k].tobytes() == alone.pis.tobytes()
+            assert verdicts[k].tobytes() == np.float64(alone.violation).tobytes()
+            assert pis[k].tobytes() == response_times(alpha.copy(), work.lam, work.caps, work.tau).tobytes()
+        event(f"NaN verdicts: {bool(np.isinf(verdicts).any())}; saturated: {bool(np.isinf(pis).any())}")
 
     def test_polish_skips_targets_without_capacity(self):
         """No check is spent on a transfer onto a queue with no capacity."""
@@ -1038,7 +1006,7 @@ class TestFeasibleStep:
 
     def test_climbs_to_hi_and_stops(self):
         probes = []
-        got = _last_feasible(lambda s: probes.append(s) or True, 1.0, 60)
+        got = _last_feasible(lambda mids: [probes.append(s) or True for s in mids], 1.0, 60, 1)
         # lo reaches the float below 1.0 after 53 probes; the 54th tests 1.0 itself
         assert got == reference_last_feasible(lambda s: True, 1.0, 60) == 1.0
         assert len(probes) == 54 and probes[-2] == math.nextafter(1.0, 0.0)

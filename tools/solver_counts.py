@@ -1,4 +1,4 @@
-"""Count the slice solver's checks and response evaluations on two workloads.
+"""Count the slice solver's response evaluations and back-off searches on two workloads.
 
 - ``audit``: one pass over the 296 game-audit games (criteria 2 and 3, from
   ``perfbench/workloads.py``), each solved on both paths: the default path
@@ -8,19 +8,19 @@
 For each workload the script prints
 
 - the CPU time of one run with nothing wrapped;
-- ``response_times`` calls made by the solver (``game.response_times``; the
-  validator's own calls are not counted), by the solver stage that made
-  them and by the function that asked for them;
-- the slice state memo's hits and misses (``_SliceWork.state``), by stage,
-  where the checkout has the memo;
-- ``_SliceWork.max_violation`` calls, by stage and by caller;
-- the back-off searches (``game._last_feasible`` calls), and their mids:
-  evaluated (the predicate ran) against inferred (the loop took the verdict
-  from the bracket it was given), in all and per search.
+- kernel calls: ``response_times`` calls made by the solver
+  (``game.response_times``; the validator's own calls are not counted),
+  with the offload matrices they checked (a stack counts each of its
+  matrices), by the solver stage that made them and by the function that
+  asked for them;
+- the slice state memo's hits and misses (``_SliceWork.state``), by stage;
+- the back-off searches (``game._last_feasible`` calls), by stage: their
+  kernel calls, matrices checked and mids walked per search.  The mids
+  walked are those of the bisection's own path, retraced here from its
+  result with the verdict ``mid <= lo``.
 
-Functions are wrapped at run time; the program has no hook for this.  A
-search's mids are recounted by replaying it with the default bracket and the
-verdict ``mid <= lo``, which retraces the bisection's path from its result.
+Functions are wrapped at run time; the program has no hook for this.  The
+script also runs in a checkout whose searches check one mid per call.
 
     PYTHONPATH=src python3 tools/solver_counts.py            # both workloads
     PYTHONPATH=src python3 tools/solver_counts.py urban80    # one of them
@@ -29,6 +29,7 @@ verdict ``mid <= lo``, which retraces the bisection's path from its result.
 from __future__ import annotations
 
 import collections
+import math
 import os
 import sys
 import time
@@ -48,14 +49,15 @@ STAGES = (
     "solve_offload",
     "_trim_energy",
 )
-# frames between a check or a response evaluation and the code that asked for it
+# frames between a response evaluation and the code that asked for it
 PLUMBING = {
     "max_violation",
     "feasible",
     "<lambda>",
     "last_feasible",
-    "counted",
-    "probe",
+    "_last_feasible",
+    "searched",
+    "verdicts",
     "evaluated",
     "looked_up",
     "state",
@@ -90,21 +92,30 @@ def _where():
     return stage, caller or "other"
 
 
+def walked(hi: float, steps: int, lo: float) -> int:
+    """Mids a ``steps``-step bisection of [0, hi] that ends on lo walks before it stops."""
+    at, failed_hi = 0.0, False
+    for count in range(steps):
+        mid = (at + hi) / 2
+        if mid == at or (mid == hi and failed_hi):
+            return count
+        if mid <= lo:
+            at = mid
+        else:
+            hi, failed_hi = mid, True
+    return steps
+
+
 def counted_run(run):
     """Run ``run()`` with the solver wrapped; returns the counters."""
-    counts = {name: collections.Counter() for name in ("checks", "responses", "memo", "searches", "mids")}
-    checks, responses, memo = counts["checks"], counts["responses"], counts["memo"]
-    searches, mids = counts["searches"], counts["mids"]
-    max_violation, last_feasible = game._SliceWork.max_violation, game._last_feasible
-    response_times, state = game.response_times, getattr(game._SliceWork, "state", None)
+    calls, matrices, memo, searches = (collections.Counter() for _ in range(4))
+    last_feasible, response_times, state = game._last_feasible, game.response_times, game._SliceWork.state
 
-    def counted(self, alpha):
-        checks[_where()] += 1
-        return max_violation(self, alpha)
-
-    def evaluated(*args):
-        responses[_where()] += 1
-        return response_times(*args)
+    def evaluated(alpha, *args):
+        site = _where()
+        calls[site] += 1
+        matrices[site] += math.prod(alpha.shape[:-2])
+        return response_times(alpha, *args)
 
     def looked_up(self, alpha):
         kept = self._state
@@ -112,67 +123,46 @@ def counted_run(run):
         memo[_where()[0], "hit" if found is kept else "miss"] += 1
         return found
 
-    def searched(feasible, hi, steps, *bracket):
+    def searched(check, hi, steps, *rest):
         stage = _where()[0]
-        calls = [0]
-
-        def probe(mid):
-            calls[0] += 1
-            return feasible(mid)
-
-        lo = last_feasible(probe, hi, steps, *bracket)
-        replay = [0]
-        last_feasible(lambda mid: replay.__setitem__(0, replay[0] + 1) or mid <= lo, hi, steps)
-        searches[stage] += 1
-        mids[stage, "evaluated"] += calls[0]
-        mids[stage, "inferred"] += replay[0] - calls[0]
+        before = sum(calls.values()), sum(matrices.values())
+        lo = last_feasible(check, hi, steps, *rest)
+        searches[stage, "searches"] += 1
+        searches[stage, "calls"] += sum(calls.values()) - before[0]
+        searches[stage, "matrices"] += sum(matrices.values()) - before[1]
+        searches[stage, "walked"] += walked(hi, steps, lo)
         return lo
 
-    game._SliceWork.max_violation, game._last_feasible = counted, searched
-    game.response_times = evaluated
-    if state is not None:
-        game._SliceWork.state = looked_up
+    game._last_feasible, game.response_times, game._SliceWork.state = searched, evaluated, looked_up
     try:
         run()
     finally:
-        game._SliceWork.max_violation, game._last_feasible = max_violation, last_feasible
-        game.response_times = response_times
-        if state is not None:
-            game._SliceWork.state = state
-    return counts
-
-
-def _by_site(title, counter) -> None:
-    print(f"{title}: {sum(counter.values())}")
-    for (stage, caller), count in sorted(counter.items(), key=lambda kv: -kv[1]):
-        print(f"  {count:7d}  {stage} via {caller}")
+        game._last_feasible, game.response_times, game._SliceWork.state = last_feasible, response_times, state
+    return calls, matrices, memo, searches
 
 
 def report(label, run) -> None:
     start = time.process_time()
     run()
     cpu = time.process_time() - start
-    counts = counted_run(run)
+    calls, matrices, memo, searches = counted_run(run)
     print(f"{label}: {cpu:.2f} s CPU (unwrapped)")
-    _by_site("response_times calls", counts["responses"])
-    memo = counts["memo"]
-    if memo:
-        hits = sum(v for (_, kind), v in memo.items() if kind == "hit")
-        print(f"slice state lookups: {hits} hits, {sum(memo.values()) - hits} misses")
-        for stage in sorted({stage for stage, _ in memo}):
-            print(f"  {stage}: {memo[stage, 'hit']} hits, {memo[stage, 'miss']} misses")
-    _by_site("max_violation calls", counts["checks"])
-    searches, mids = counts["searches"], counts["mids"]
-    total = sum(searches.values())
-    evaluated = sum(v for (_, kind), v in mids.items() if kind == "evaluated")
-    inferred = sum(v for (_, kind), v in mids.items() if kind == "inferred")
-    print(f"searches: {total}; mids evaluated {evaluated}, inferred {inferred}")
-    for stage, count in sorted(searches.items()):
-        ev, inf = mids[stage, "evaluated"] / count, mids[stage, "inferred"] / count
-        print(f"  {stage}: {count} searches, {ev:.1f} evaluated and {inf:.1f} inferred per search")
-    if total:
-        per = (evaluated + inferred) / total
-        print(f"  all: {evaluated / total:.1f} evaluated, {per:.1f} mids per search")
+    print(f"response_times calls: {sum(calls.values())}, matrices checked: {sum(matrices.values())}")
+    for site, count in sorted(calls.items(), key=lambda kv: -kv[1]):
+        print(f"  {count:7d} calls {matrices[site]:7d} matrices  {site[0]} via {site[1]}")
+    hits = sum(v for (_, kind), v in memo.items() if kind == "hit")
+    print(f"slice state lookups: {hits} hits, {sum(memo.values()) - hits} misses")
+    for stage in sorted({stage for stage, _ in memo}):
+        print(f"  {stage}: {memo[stage, 'hit']} hits, {memo[stage, 'miss']} misses")
+    stages = sorted({stage for stage, _ in searches})
+    total = {kind: sum(searches[stage, kind] for stage in stages) for kind in ("searches", "calls", "matrices", "walked")}
+    print(f"searches: {total['searches']}")
+    for stage, counts in [(s, {k: searches[s, k] for k in total}) for s in stages] + [("all", total)]:
+        n = counts["searches"]
+        print(
+            f"  {stage}: {n} searches; per search {counts['calls'] / n:.1f} kernel calls, "
+            f"{counts['matrices'] / n:.1f} matrices, {counts['walked'] / n:.1f} mids walked"
+        )
 
 
 def main(argv: list[str]) -> int:
