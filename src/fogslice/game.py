@@ -1174,7 +1174,8 @@ def _trim_energy(game: GameInstance, energy: np.ndarray, alphas):
                 trial = energy[:, k].copy()
                 trial[i] -= nd.unit_energy
                 caps = game.slice_for(k, trial).capacities()
-                if loads[i] > caps[i] - RESIDUAL_FLOOR:
+                # an idle queue, like max_violation's, is held to nothing
+                if loads[i] > 1e-12 and loads[i] > caps[i] - RESIDUAL_FLOOR:
                     break
                 pis = response_times(alpha, lam, caps, net.rtt)
                 rows = alpha.sum(axis=1)

@@ -1228,6 +1228,14 @@ class TestSocialWelfare:
         assert sol.welfare == pytest.approx(expected, abs=1e-7)
         assert sol.certified
 
+    def test_trim_drops_every_unit_of_an_idle_node(self):
+        """A node carrying no load keeps no energy, its last unit included."""
+        game = GameInstance(network=make_network(2), arrivals=np.array([[20.0], [0.0]]), budgets=np.array([2, 3]))
+        alpha = np.array([[0.5, 0.0], [0.0, 0.0]])
+        energy, alphas = _trim_energy(game, np.array([[2], [3]]), [alpha])
+        assert energy.tolist() == [[2], [0]]
+        assert alphas[0] is alpha
+
     def test_three_node_welfare_equals_grid_oracle(self):
         from fogslice.oracles import exhaustive_welfare
 
