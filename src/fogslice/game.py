@@ -418,9 +418,9 @@ def _violations(work: _SliceWork, alpha, loads, pis):
     ``alpha`` is (n, n) or a stack (m, n, n), with its ``loads`` and
     responses ``pis`` ((n,) or (m, n) each).  > 0 means infeasible, inf on
     a NaN entry.  Only destinations actually carrying load are held to the
-    residual floor; an idle zero-capacity node violates nothing.  Every
-    reduction is a max, so each matrix of a stack gets its own value to the
-    last bit.
+    residual floor; an idle zero-capacity node violates nothing.  Sums run
+    along one matrix's rows and the other reductions are maxima, so each
+    matrix of a stack gets the value it gets alone, to the last bit.
     """
     rows = alpha.sum(axis=-1)
     top = rows.max(axis=-1, initial=0.0)

@@ -989,7 +989,6 @@ class TestFeasibleStep:
             assert loads[k].tobytes() == alone.loads.tobytes()
             assert pis[k].tobytes() == alone.pis.tobytes()
             assert verdicts[k].tobytes() == np.float64(alone.violation).tobytes()
-            assert pis[k].tobytes() == response_times(alpha.copy(), work.lam, work.caps, work.tau).tobytes()
         event(f"NaN verdicts: {bool(np.isinf(verdicts).any())}; saturated: {bool(np.isinf(pis).any())}")
 
     def test_polish_skips_targets_without_capacity(self):
