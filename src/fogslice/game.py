@@ -561,8 +561,9 @@ def _last_feasible(verdicts, hi: float, steps: int, depth: int) -> float:
         steps -= levels
         mids, spans = [], [(lo, hi)]
         for _ in range(levels):
-            mids += [(a + b) / 2 for a, b in spans]
-            spans = [half for (a, b), m in zip(spans, mids[-len(spans) :]) for half in ((a, m), (m, b))]
+            level = [(a + b) / 2 for a, b in spans]
+            spans = [half for (a, b), m in zip(spans, level) for half in ((a, m), (m, b))]
+            mids += level
         ok, k = None, 0
         for _ in range(levels):
             mid = mids[k]
