@@ -976,6 +976,26 @@ class TestFeasibleStep:
         ref = reference_last_feasible(lambda s: work.feasible(start + s * delta), hi, steps)
         assert work.last_feasible(start, delta, hi, steps).hex() == ref.hex()
 
+    def test_bracket_on_edge_segments(self):
+        """A zero-capacity neighbour, a queue near saturation, a row at total 1, a blocked transfer."""
+        # where each hand-built segment's last feasible step must lie
+        within = {
+            "zero-capacity transfer": lambda s: s == 0.0,
+            "zero-capacity backoff": lambda s: s < 1e-300,
+            "near-saturation backoff": lambda s: 0.0 < s < 1.0,
+            "near-saturation transfer": lambda s: 0.0 <= s < 0.1,
+            "full-row backoff": lambda s: 0.0 < s < 5e-9,
+            "full-row transfer": lambda s: 0.0 < s < 0.5,
+            "blocked transfer": lambda s: s == 0.0,
+        }
+        for kind, holds in within.items():
+            work, start, delta, i, hi, steps = edge_segment(kind)
+            ref = reference_last_feasible(lambda s: work.feasible(start + s * delta), hi, steps)
+            got = work.last_feasible(start, delta, hi, steps)
+            assert got.hex() == ref.hex(), kind
+            assert holds(got), kind
+            assert work.feasible(start + got * delta), kind
+
     @settings(max_examples=300, deadline=None)
     @given(offload_stacks())
     def test_stacked_checks_match_single(self, drawn):
