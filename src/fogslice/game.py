@@ -479,7 +479,7 @@ class _SliceWork:
         self.is_sender = self.lam > 0
         # bisection levels checked per stacked call: a small slice's check
         # costs mostly its call, a large one's its n x n arithmetic
-        self.depth = 4 if self.n <= 4 else 2 if self.n <= 8 else 1
+        self.depth = 4 if self.n <= 8 else 1
         self._state: _SliceState | None = None
 
     def state(self, alpha) -> _SliceState:

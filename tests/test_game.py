@@ -884,9 +884,7 @@ def edge_segment(kind):
 def solver_segment(seed, n, kind, push):
     """(work, start, delta, i, hi, steps) of a segment a solver stage of that kind
     searches, on a slice the ascent has filled: a row back-off, a polish
-    transfer or the NLP pull-back.  Other kinds name an ``edge_segment``."""
-    if kind not in ("backoff", "transfer", "pullback"):
-        return edge_segment(kind)
+    transfer or the NLP pull-back."""
     rng = np.random.default_rng(seed)
     work = _SliceWork(mesh_slice(rng, n))
     assume(work.senders)
@@ -962,13 +960,6 @@ class TestFeasibleStep:
         st.sampled_from(["backoff", "transfer", "pullback"]),
         st.floats(0.0, 1.0),
     )
-    @example(0, 2, "zero-capacity transfer", 0.0)
-    @example(0, 2, "zero-capacity backoff", 0.0)
-    @example(0, 2, "near-saturation backoff", 0.0)
-    @example(0, 2, "near-saturation transfer", 0.0)
-    @example(0, 2, "full-row backoff", 0.0)
-    @example(0, 2, "full-row transfer", 0.0)
-    @example(0, 2, "blocked transfer", 0.0)
     def test_last_feasible_matches_reference(self, seed, n, kind, push):
         """The stages' one search ends where a one-mid-at-a-time bisection of start + s*delta does."""
         work, start, delta, i, hi, steps = solver_segment(seed, n, kind, push)
