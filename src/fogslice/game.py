@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
-import shlex
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +119,11 @@ class GameInstance:
         n, k = self.network.n_nodes, self.network.n_services
         if arrivals.shape != (n, k) or budgets.shape != (n,):
             raise ValueError("arrivals/budgets do not match the network")
+        # written so that NaN fails each test
+        if not ((arrivals >= 0) & (arrivals < np.inf)).all():
+            raise ValueError("arrivals must be finite and >= 0")
+        if not ((budgets >= 0) & (budgets % 1 == 0)).all():
+            raise ValueError("budgets must be whole numbers >= 0")
         arrivals.setflags(write=False)
         budgets.setflags(write=False)
         object.__setattr__(self, "arrivals", arrivals)
@@ -136,118 +141,51 @@ class GameInstance:
         )
 
 
-INSTANCE_HEADER = "fogslice-instance 1"
+INSTANCE_FORMAT = "fogslice-instance 2"
 
 
 def dump_instance(game: GameInstance, path) -> None:
-    """Write one slot instance as line-oriented text.
+    """Write one slot instance as a JSON document.
 
-    One ``demand`` record per node per service.  Floats are written with
-    repr so a load/dump cycle reproduces the file byte for byte; that makes
-    dumped instances usable as golden fixtures and for oracle replay.
+    Services and nodes are objects keyed by their field names.  Floats are
+    written with repr, so a load/dump cycle reproduces the file byte for
+    byte; that makes dumped instances usable as golden fixtures and for
+    oracle replay.
     """
     net = game.network
-    lines = [INSTANCE_HEADER]
-    for k, svc in enumerate(net.services):
-        lines.append(
-            "service %d %s %r %r %r"
-            % (k, shlex.quote(svc.name), svc.deadline, svc.reward, svc.unit_rate)
-        )
-    for i, nd in enumerate(net.nodes):
-        lines.append(
-            "node %d %d %d %d %r %s"
-            % (
-                i,
-                nd.max_units,
-                nd.unit_energy,
-                nd.battery_cap,
-                nd.rate_factor,
-                shlex.quote(nd.name),
-            )
-        )
-    for i, nbrs in enumerate(net.neighbors):
-        lines.append("neighbors %d%s" % (i, "".join(" %d" % j for j in sorted(nbrs))))
-    for i in range(net.n_nodes):
-        lines.append("rtt %d %s" % (i, " ".join(repr(float(v)) for v in net.rtt[i])))
-    for i in range(net.n_nodes):
-        lines.append("budget %d %d" % (i, int(game.budgets[i])))
-    for i in range(net.n_nodes):
-        for k in range(net.n_services):
-            lines.append("demand %d %d %r" % (i, k, float(game.arrivals[i, k])))
-    Path(path).write_text("\n".join(lines) + "\n")
+    doc = {
+        "format": INSTANCE_FORMAT,
+        "services": [asdict(svc) for svc in net.services],
+        "nodes": [asdict(nd) for nd in net.nodes],
+        "neighbors": [sorted(int(j) for j in nbrs) for nbrs in net.neighbors],
+        "rtt": net.rtt.tolist(),
+        "budgets": [int(b) for b in game.budgets],
+        "arrivals": game.arrivals.tolist(),
+    }
+    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
 def load_instance(path) -> GameInstance:
     """Read an instance written by dump_instance.
 
-    Raises ValueError naming the first offending line on malformed input.
+    The file is checked by the types it builds.  Any fault is raised as one
+    ValueError starting with the path; a JSON syntax error names its line.
     """
-    text = Path(path).read_text()
-    raw = text.splitlines()
-    if not raw or raw[0].strip() != INSTANCE_HEADER:
-        raise ValueError(f"{path}: missing '{INSTANCE_HEADER}' header")
-    services: dict[int, ServiceTypeSpec] = {}
-    nodes: dict[int, FogNodeSpec] = {}
-    neighbors: dict[int, frozenset[int]] = {}
-    rtt_rows: dict[int, list[float]] = {}
-    budgets: dict[int, int] = {}
-    demand: dict[tuple[int, int], float] = {}
-    for lineno, line in enumerate(raw[1:], start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            fields = shlex.split(line)
-            kind = fields[0]
-            if kind == "service":
-                k = int(fields[1])
-                services[k] = ServiceTypeSpec(
-                    name=fields[2],
-                    deadline=float(fields[3]),
-                    reward=float(fields[4]),
-                    unit_rate=float(fields[5]),
-                )
-            elif kind == "node":
-                i = int(fields[1])
-                nodes[i] = FogNodeSpec(
-                    max_units=int(fields[2]),
-                    unit_energy=int(fields[3]),
-                    battery_cap=int(fields[4]),
-                    rate_factor=float(fields[5]),
-                    name=fields[6] if len(fields) > 6 else "",
-                )
-            elif kind == "neighbors":
-                neighbors[int(fields[1])] = frozenset(int(j) for j in fields[2:])
-            elif kind == "rtt":
-                rtt_rows[int(fields[1])] = [float(v) for v in fields[2:]]
-            elif kind == "budget":
-                budgets[int(fields[1])] = int(fields[2])
-            elif kind == "demand":
-                demand[(int(fields[1]), int(fields[2]))] = float(fields[3])
-            else:
-                raise ValueError(f"unknown record kind {kind!r}")
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"{path}:{lineno}: bad record: {exc}") from exc
-    n, k_n = len(nodes), len(services)
-    if sorted(nodes) != list(range(n)) or sorted(services) != list(range(k_n)):
-        raise ValueError(f"{path}: node/service indices must be 0..count-1")
-    missing = [i for i in range(n) if len(rtt_rows.get(i, ())) != n]
-    if missing:
-        raise ValueError(f"{path}: missing or short rtt rows for nodes {missing}")
-    net = NetworkSpec(
-        services=tuple(services[k] for k in range(k_n)),
-        nodes=tuple(nodes[i] for i in range(n)),
-        neighbors=tuple(neighbors.get(i, frozenset()) for i in range(n)),
-        rtt=np.array([rtt_rows[i] for i in range(n)]),
-    )
-    arrivals = np.zeros((n, k_n))
-    for (i, k), lam in demand.items():
-        arrivals[i, k] = lam
-    return GameInstance(
-        network=net,
-        arrivals=arrivals,
-        budgets=np.array([budgets.get(i, 0) for i in range(n)], dtype=int),
-    )
+    try:
+        doc = json.loads(Path(path).read_text())
+        if doc["format"] != INSTANCE_FORMAT:
+            raise ValueError(f"format is {doc['format']!r}, expected {INSTANCE_FORMAT!r}")
+        net = NetworkSpec(
+            services=tuple(ServiceTypeSpec(**svc) for svc in doc["services"]),
+            nodes=tuple(FogNodeSpec(**nd) for nd in doc["nodes"]),
+            neighbors=tuple(frozenset(nbrs) for nbrs in doc["neighbors"]),
+            rtt=doc["rtt"],
+        )
+        return GameInstance(network=net, arrivals=doc["arrivals"], budgets=doc["budgets"])
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,7 @@ class NetworkSpec:
             raise ValueError("rtt entries must be >= 0 (negative or NaN round trips are not delays)")
         for i, nbrs in enumerate(self.neighbors):
             for j in nbrs:
-                if not 0 <= j < n or j == i:
+                if not isinstance(j, (int, np.integer)) or not 0 <= j < n or j == i:
                     raise ValueError(f"invalid neighbor {j} for node {i}")
         rtt.setflags(write=False)
         object.__setattr__(self, "rtt", rtt)

@@ -1,6 +1,7 @@
 """Per-slot slicing game: offload solver, energy splits, welfare, core."""
 
 import itertools
+import json
 import math
 from unittest import mock
 
@@ -11,6 +12,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize._numdiff import approx_derivative
 
+from fogslice import cli
 from fogslice.game import (
     FEAS_TOL,
     RESIDUAL_FLOOR,
@@ -1866,6 +1868,28 @@ class TestCheckCore:
         check()
         assert any(searched)
 
+
+class TestGameInstance:
+    @pytest.mark.parametrize(
+        "arrivals, budgets, message",
+        [
+            ([[20.0], [1.0]], [3, -1], "budgets"),
+            ([[20.0], [1.0]], [3.0, 2.5], "budgets"),
+            ([[20.0], [1.0]], [3.0, math.nan], "budgets"),
+            ([[20.0], [-1.0]], [3, 2], "arrivals"),
+            ([[20.0], [math.nan]], [3, 2], "arrivals"),
+            ([[math.inf], [1.0]], [3, 2], "arrivals"),
+        ],
+    )
+    def test_rejects_bad_budgets_and_arrivals(self, arrivals, budgets, message):
+        with pytest.raises(ValueError, match=message):
+            GameInstance(network=make_network(2), arrivals=np.array(arrivals), budgets=np.array(budgets))
+
+    def test_accepts_whole_float_budgets_and_zero_arrivals(self):
+        game = GameInstance(network=make_network(2), arrivals=np.zeros((2, 1)), budgets=np.array([0.0, 4.0]))
+        assert game.budgets.tolist() == [0.0, 4.0]
+
+
 class TestInstanceFiles:
     def build_game(self):
         net = make_network(
@@ -1879,42 +1903,69 @@ class TestInstanceFiles:
 
     def test_round_trip_is_byte_stable(self, tmp_path):
         game = self.build_game()
-        first = tmp_path / "a.inst"
-        second = tmp_path / "b.inst"
+        first = tmp_path / "a.json"
+        second = tmp_path / "b.json"
         dump_instance(game, first)
         loaded = load_instance(first)
         dump_instance(loaded, second)
         assert first.read_bytes() == second.read_bytes()
-        assert np.allclose(loaded.arrivals, game.arrivals)
+        assert np.array_equal(loaded.arrivals, game.arrivals)
         assert np.array_equal(loaded.budgets, game.budgets)
         assert loaded.network.neighbors == game.network.neighbors
-        assert np.allclose(loaded.network.rtt, game.network.rtt)
-        svc = loaded.network.services[0]
-        assert svc.name == "image img"
-        assert svc.deadline == 0.05
+        assert np.array_equal(loaded.network.rtt, game.network.rtt)
+        assert loaded.network.services == game.network.services
+        assert loaded.network.nodes == game.network.nodes
 
     def test_missing_header(self, tmp_path):
-        path = tmp_path / "bad.inst"
-        path.write_text("service 0 a 0.1 1.0 10.0\n")
-        with pytest.raises(ValueError) as err:
+        game = self.build_game()
+        path = tmp_path / "untagged.json"
+        dump_instance(game, path)
+        doc = json.loads(path.read_text())
+        del doc["format"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="missing key 'format'") as err:
             load_instance(path)
-        assert "header" in str(err.value)
+        assert str(err.value).startswith(str(path))
 
     def test_malformed_record_names_line(self, tmp_path):
         game = self.build_game()
-        path = tmp_path / "mangled.inst"
+        path = tmp_path / "mangled.json"
         dump_instance(game, path)
         lines = path.read_text().splitlines()
-        lines[3] = "node 0 ten 1 100 1.0 n0"
+        bad = lines.index('   "name": "image img",')
+        lines[bad] = '   "name": image img,'
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as err:
             load_instance(path)
-        assert ":4" in str(err.value) or "line 4" in str(err.value)
+        assert str(err.value).startswith(str(path))
+        assert f"line {bad + 1} " in str(err.value)
 
     def test_solver_replay_from_file(self, tmp_path):
         game = self.build_game()
-        path = tmp_path / "replay.inst"
+        path = tmp_path / "replay.json"
         dump_instance(game, path)
         original = solve_social_welfare(game).welfare
         replayed = solve_social_welfare(load_instance(path)).welfare
         assert replayed == original
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            pytest.param(lambda doc: doc["arrivals"].pop(), id="arrival-rows"),
+            pytest.param(lambda doc: doc["budgets"].__setitem__(0, -4), id="negative-budget"),
+            pytest.param(lambda doc: doc["arrivals"][0].__setitem__(0, math.nan), id="nan-arrival"),
+            pytest.param(lambda doc: doc["arrivals"][1].__setitem__(1, -1.0), id="negative-arrival"),
+            pytest.param(lambda doc: doc["nodes"][0].__setitem__("colour", "red"), id="unknown-node-key"),
+            pytest.param(lambda doc: doc["services"][0].pop("reward"), id="missing-service-key"),
+            pytest.param(lambda doc: doc.__setitem__("format", "fogslice-instance 1"), id="wrong-format"),
+            pytest.param(lambda doc: doc["neighbors"][0].__setitem__(0, 1.0), id="float-neighbor"),
+        ],
+    )
+    def test_malformed_instance_is_an_input_error(self, tmp_path, capsys, mangle):
+        path = tmp_path / "bad.json"
+        dump_instance(self.build_game(), path)
+        doc = json.loads(path.read_text())
+        mangle(doc)
+        path.write_text(json.dumps(doc))
+        assert cli.main(["oracle", "--instance", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"input error: {path}: ")

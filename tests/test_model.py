@@ -170,6 +170,8 @@ class TestSpecTypes:
             make_network(services=(svc,), nodes=nodes, neighbors=(frozenset({2}), frozenset()))
         with pytest.raises(ValueError):
             make_network(services=(svc,), nodes=nodes, neighbors=(frozenset({0}), frozenset()))
+        with pytest.raises(ValueError, match="invalid neighbor 1.0"):
+            make_network(services=(svc,), nodes=nodes, neighbors=(frozenset({1.0}), frozenset()))
 
     def test_unit_activation_floors(self):
         net = make_network(nodes=(make_node(unit_energy=2, max_units=10),))

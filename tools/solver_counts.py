@@ -63,7 +63,6 @@ PLUMBING = {
     "state",
     "pis",
     "violation",
-    "_excess",
 }
 
 
