@@ -121,6 +121,18 @@ def _nonneg(value, path: str, parse=_as_num):
     return parse(value, path)
 
 
+def _discount(value, path: str) -> float:
+    gamma = _as_num(value, path)
+    if not 0 <= gamma < 1:
+        _fail(path, f"must lie in [0, 1), got {gamma!r}")
+    return gamma
+
+
+def _given(cfg: dict, path: str, parsers) -> dict:
+    """``parse(cfg[key], path.key)`` for each key ``cfg`` sets; the rest keep dataclass defaults."""
+    return {key: parse(cfg[key], f"{path}.{key}") for key, parse in parsers if key in cfg}
+
+
 # The keys each config mapping may hold; anything else is a typo or a removed
 # option and is rejected rather than silently ignored.
 ROOT_KEYS = (
@@ -226,9 +238,9 @@ def _node_spec(merged: dict, path: str) -> FogNodeSpec:
         key: _as_int(merged.get(key, default), f"{path}.{key}")
         for key, default in (("max_units", 100), ("unit_energy", 1), ("battery_cap", 40))
     }
-    rate_factor = _as_num(merged.get("rate_factor", 1.0), f"{path}.rate_factor")
+    optional = _given(merged, path, (("rate_factor", _as_num), ("name", lambda v, _: str(v))))
     try:
-        return FogNodeSpec(**ints, rate_factor=rate_factor, name=str(merged.get("name", "")))
+        return FogNodeSpec(**ints, **optional)
     except ValueError as exc:
         _fail(path, str(exc))
 
@@ -330,22 +342,12 @@ def build_config(cfg: dict) -> ExperimentConfig:
     kind = pol_cfg.get("kind")
     if kind not in POLICY_KINDS:
         _fail("policy.kind", f"must be one of {POLICY_KINDS}")
-    gamma = _as_num(pol_cfg.get("gamma", 0.9), "policy.gamma")
-    if not 0 <= gamma < 1:
-        _fail("policy.gamma", f"must lie in [0, 1), got {gamma!r}")
-    policy = PolicySpec(
-        kind=kind,
-        radius=_as_num(pol_cfg["radius"], "policy.radius") if "radius" in pol_cfg else None,
-        depth=_nonneg(pol_cfg.get("depth", 1), "policy.depth", _as_int),
-        gamma=gamma,
-        helper_cap=_nonneg(pol_cfg.get("helper_cap", 2), "policy.helper_cap", _as_int),
-    )
+    count = functools.partial(_nonneg, parse=_as_int)
+    parsers = (("gamma", _discount), ("radius", _as_num), ("depth", count), ("helper_cap", count))
+    policy = PolicySpec(kind=kind, **_given(pol_cfg, "policy", parsers))
 
     sol_cfg = _mapping(cfg.get("solver", {}), "solver", SOLVER_KEYS)
-    solver = SolverOptions(
-        exhaustive_nodes=_as_int(sol_cfg.get("exhaustive_nodes", 3), "solver.exhaustive_nodes"),
-        exhaustive_vectors=_as_int(sol_cfg.get("exhaustive_vectors", 4000), "solver.exhaustive_vectors"),
-    )
+    solver = SolverOptions(**_given(sol_cfg, "solver", [(key, _as_int) for key in SOLVER_KEYS]))
     return ExperimentConfig(
         seed=seed,
         slots=slots,
@@ -384,19 +386,14 @@ def policy_adjacency(cfg: ExperimentConfig) -> list[set[int]]:
                 adj[i].add(nbrs[0])
                 adj[nbrs[0]].add(i)
         return adj
-    if pol.kind == "radius_coop":
-        radius = pol.radius
-        for i in range(n):
-            for j in net.neighbors[i]:
-                if radius is None or dist[i, j] <= radius:
-                    adj[i].add(j)
-                    adj[j].add(i)
-        return adj
-    # myopic and bpomdp cooperate over the whole forwarding graph
+    # radius_coop keeps the forwarding edges within its radius, if it has
+    # one; myopic and bpomdp cooperate over the whole forwarding graph
+    radius = pol.radius if pol.kind == "radius_coop" else None
     for i in range(n):
         for j in net.neighbors[i]:
-            adj[i].add(j)
-            adj[j].add(i)
+            if radius is None or dist[i, j] <= radius:
+                adj[i].add(j)
+                adj[j].add(i)
     return adj
 
 
@@ -418,19 +415,6 @@ def weak_components(adj: list[set[int]]) -> list[list[int]]:
                     queue.append(j)
         comps.append(sorted(comp))
     return comps
-
-
-def _component_game(net: NetworkSpec, arrivals, budgets, comp: list[int]) -> GameInstance:
-    local = {g: li for li, g in enumerate(comp)}
-    sub = NetworkSpec(
-        services=net.services,
-        nodes=tuple(net.nodes[g] for g in comp),
-        neighbors=tuple(
-            frozenset(local[m] for m in net.neighbors[g] if m in local) for g in comp
-        ),
-        rtt=net.rtt[np.ix_(comp, comp)],
-    )
-    return GameInstance(network=sub, arrivals=arrivals[comp], budgets=budgets[comp])
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +657,8 @@ def run_episode(config: dict | ExperimentConfig) -> EpisodeResult:
             key = (ci, arrivals[idx].tobytes(), budgets[idx].tobytes())
             sol = solved.get(key)
             if sol is None:
-                sol = solve_social_welfare(_component_game(net, arrivals, budgets, comp), cfg.solver)
+                game = GameInstance(net, arrivals, budgets).restrict(comp)
+                sol = solve_social_welfare(game, cfg.solver)
                 solved[key] = sol
             energy[idx] = sol.agreement.energy
             rewards[idx] = sol.agreement.rewards

@@ -140,6 +140,24 @@ class GameInstance:
             rtt=net.rtt,
         )
 
+    def restrict(self, members) -> GameInstance:
+        """The game ``members`` play alone, nodes indexed in ``members`` order.
+
+        Neighbor links to nodes outside the set are dropped.
+        """
+        members = list(members)  # a tuple would index one axis per entry
+        net = self.network
+        local = {g: li for li, g in enumerate(members)}
+        sub = NetworkSpec(
+            services=net.services,
+            nodes=tuple(net.nodes[g] for g in members),
+            neighbors=tuple(
+                frozenset(local[m] for m in net.neighbors[g] if m in local) for g in members
+            ),
+            rtt=net.rtt[np.ix_(members, members)],
+        )
+        return GameInstance(network=sub, arrivals=self.arrivals[members], budgets=self.budgets[members])
+
 
 INSTANCE_FORMAT = "fogslice-instance 2"
 
@@ -1100,10 +1118,7 @@ def _trim_energy(game: GameInstance, energy: np.ndarray, alphas):
     The offload matrices, and hence all payoffs, are unchanged.
     """
     net = game.network
-    energy = energy.copy()
-    for i, nd in enumerate(net.nodes):
-        for k in range(net.n_services):
-            energy[i, k] -= energy[i, k] % nd.unit_energy
+    energy = energy - energy % np.array([[nd.unit_energy] for nd in net.nodes])
     for k, svc in enumerate(net.services):
         alpha = alphas[k]
         lam = game.arrivals[:, k]
@@ -1116,12 +1131,16 @@ def _trim_energy(game: GameInstance, energy: np.ndarray, alphas):
                 # an idle queue, like max_violation's, is held to nothing
                 if loads[i] > 1e-12 and loads[i] > caps[i] - RESIDUAL_FLOOR:
                     break
-                pis = response_times(alpha, lam, caps, net.rtt)
-                rows = alpha.sum(axis=1)
-                if np.any((rows > 0) & (pis > svc.deadline + FEAS_TOL)):
+                if _late(alpha, lam, caps, net.rtt, svc.deadline):
                     break
                 energy[i, k] = trial[i]
     return energy, alphas
+
+
+def _late(alpha, lam, caps, rtt, theta) -> bool:
+    """Whether some sender of the slice misses the deadline theta."""
+    late = response_times(alpha, lam, caps, rtt) > theta + FEAS_TOL
+    return bool(np.any((alpha.sum(axis=1) > 0) & late))
 
 
 def solve_social_welfare(game: GameInstance, options: SolverOptions | None = None) -> WelfareSolution:
@@ -1206,22 +1225,20 @@ def lone_sender_share(tau: np.ndarray, cap: np.ndarray, lam: float, theta: float
     return float(_waterfill(tau, cap, box, lam, theta).sum())
 
 
-def _grid_rows(lam, caps, tau_row, grid, theta):
+def _grid_rows(lam, caps, open_row, grid):
     """Candidate allocation rows on the grid for one sender and service.
 
-    Rows are grid units per destination, in lexicographic order.
-    Per-destination loads beyond capacity can never become feasible, so
-    those entries are cut before enumeration.
+    Rows are grid units per open destination, ``np.flatnonzero(open_row)``,
+    in lexicographic order.  Per-destination loads beyond capacity can never
+    become feasible, so those entries are cut before enumeration.
     """
+    dests = np.flatnonzero(open_row)
     if lam <= 0:
-        return [(0,) * len(caps)]
+        return [(0,) * len(dests)]
     steps = int(round(1.0 / grid))
     rows = [()]
-    for cap, tau in zip(caps, tau_row):
-        top = min(steps, int((cap - FEAS_TOL) / (lam * grid)) if cap > 0 else 0)
-        if tau >= theta:
-            top = 0  # the rtt alone already breaks the deadline on this path
-        top = max(top, 0)
+    for cap in caps[dests]:
+        top = max(min(steps, int((cap - FEAS_TOL) / (lam * grid)) if cap > 0 else 0), 0)
         rows = [row + (units,) for row in rows for units in range(min(top, steps - sum(row)) + 1)]
     return rows
 
@@ -1243,16 +1260,10 @@ def check_core(
     """
     opt = options or CoreOptions()
     net = game.network
-    n, k_n = net.n_nodes, net.n_services
+    n = net.n_nodes
     current = agreement.total_rewards()
-    full_service = np.array(
-        [
-            sum(net.services[k].reward * game.arrivals[i, k] for k in range(k_n))
-            for i in range(n)
-        ]
-    )
+    full_service = [sum(svc.reward * a for svc, a in zip(net.services, row)) for row in game.arrivals]
     checked = 0
-    truncated: list[int] = []
     budget_left = CORE_MAX_CHECKS
     for size in range(1, min(CORE_MAX_SIZE, n) + 1):
         for members in itertools.combinations(range(n), size):
@@ -1262,11 +1273,10 @@ def check_core(
             found, spent = _search_subset(game, members, current, opt.grid, budget_left)
             budget_left -= spent
             if found is not None:
-                return CoreResult(found, False, checked, tuple(truncated), opt.grid)
+                return CoreResult(found, False, checked, (), opt.grid)
             if budget_left <= 0:
-                truncated.append(size)
-                return CoreResult(None, False, checked, tuple(truncated), opt.grid)
-    return CoreResult(None, True, checked, tuple(truncated), opt.grid)
+                return CoreResult(None, False, checked, (size,), opt.grid)
+    return CoreResult(None, True, checked, (), opt.grid)
 
 
 def _search_subset(game, members, current, grid: float, budget: int):
@@ -1275,101 +1285,70 @@ def _search_subset(game, members, current, grid: float, budget: int):
     Returns the first deviation found, or None, and the leaves checked,
     stopping once ``budget`` leaves are checked.
     """
-    net = game.network
-    k_n = net.n_services
-    size = len(members)
-    local = {m: li for li, m in enumerate(members)}
-    dest_sets = [
-        [local[m] for m in members if m == i or m in net.neighbors[i]] for i in members
-    ]
-    lam = game.arrivals[list(members)]
-    rtt = net.rtt[np.ix_(members, members)]
-    rates = np.array([[svc.unit_rate * net.nodes[m].rate_factor for svc in net.services] for m in members])
-    unit_energy = np.array([[net.nodes[m].unit_energy] for m in members])
+    sub = game.restrict(members)
+    k_n = sub.network.n_services
     split_sets = []
-    for m in members:
-        nd = net.nodes[m]
-        budget_m = int(game.budgets[m])
-        cap_per = _energy_cap(nd, budget_m)
-        splits = [
-            s
-            for s in itertools.product(range(0, cap_per + 1, nd.unit_energy), repeat=k_n)
-            if sum(s) <= budget_m
-        ]
-        # more energy never hurts: keep only splits not dominated elementwise
-        splits = [
-            s
-            for s in splits
-            if not any(all(o[k] >= s[k] for k in range(k_n)) and o != s for o in splits)
-        ]
-        split_sets.append(splits)
+    for nd, budget_m in zip(sub.network.nodes, sub.budgets):
+        cap, step = _energy_cap(nd, budget_m), nd.unit_energy
+        # more energy never hurts: a split is dominated exactly when one more
+        # step fits on some service, so keep only those where none does
+        split_sets.append([
+            split
+            for split in itertools.product(range(0, cap + 1, step), repeat=k_n)
+            if sum(split) <= budget_m
+            and (sum(split) + step > budget_m or all(e + step > cap for e in split))
+        ])
 
     spent = 0
     for split_combo in itertools.product(*split_sets):
-        caps = capacity(rates, np.array(split_combo), unit_energy)  # (members, services)
+        energy = np.array(split_combo, dtype=int)
+        slices = [sub.slice_for(k, energy[:, k]) for k in range(k_n)]
+        caps = [sl.capacities() for sl in slices]
+        opens = [sl.allowed() for sl in slices]
         # candidate row bundles per member: joint rows over services, kept
         # only if the member's total payoff is strictly above current, best first
         bundles = []
         for li, m in enumerate(members):
-            dests = dest_sets[li]
-            tau_row = rtt[li, dests]
-            per_service_rows = [
-                _grid_rows(float(lam[li, k]), caps[dests, k], tau_row, grid, net.services[k].deadline)
-                for k in range(k_n)
+            rows = [
+                _grid_rows(float(sl.arrivals[li]), caps[k], opens[k][li], grid)
+                for k, sl in enumerate(slices)
             ]
-            combos = []
-            for combo in itertools.product(*per_service_rows):
+            gains = []
+            for combo in itertools.product(*rows):
                 reward = sum(
-                    net.services[k].reward
-                    * game.arrivals[m, k]
-                    * (sum(combo[k]) * grid)
-                    for k in range(k_n)
+                    sl.service.reward * sl.arrivals[li] * (sum(row) * grid)
+                    for sl, row in zip(slices, combo)
                 )
                 if reward > current[m] + STRICT_EPS:
-                    combos.append((reward, combo))
-            if not combos:
+                    gains.append((-reward, combo))
+            if not gains:
                 break
-            combos.sort(key=lambda rc: -rc[0])
-            bundles.append([combo for _, combo in combos])
-        if len(bundles) < size:
+            # combos come in increasing order, so equal rewards keep that order
+            bundles.append([combo for _, combo in sorted(gains)])
+        if len(bundles) < len(members):
             continue  # some member cannot gain on these splits
         for chosen in itertools.product(*bundles):
             spent += 1
-            leaf = _grid_leaf(net, lam, rtt, dest_sets, caps, chosen, grid)
+            leaf = _grid_leaf(slices, caps, opens, chosen, grid)
             if leaf is not None:
-                deviation = Deviation(
-                    members=members,
-                    energy=np.array(split_combo, dtype=int),
-                    alphas=leaf[0],
-                    rewards=leaf[1],
-                )
-                return deviation, spent
+                return Deviation(members, energy, *leaf), spent
             if spent >= budget:
                 return None, spent
     return None, spent
 
 
-def _grid_leaf(net, lam, rtt, dest_sets, caps, chosen, grid):
+def _grid_leaf(slices, caps, opens, chosen, grid):
     """Offload matrices and member rewards of one row bundle per member.
 
     None unless every sender of every service meets its deadline.
     """
-    k_n = net.n_services
-    size = len(dest_sets)
     alphas = []
-    for k in range(k_n):
-        alpha = np.zeros((size, size))
-        for li, dests in enumerate(dest_sets):
-            alpha[li, dests] = np.multiply(chosen[li][k], grid)
-        pis = response_times(alpha, lam[:, k], caps[:, k], rtt)
-        senders = alpha.sum(axis=1) > 0
-        if np.any(pis[senders] > net.services[k].deadline + FEAS_TOL):
+    for k, sl in enumerate(slices):
+        alpha = np.zeros((sl.n_nodes, sl.n_nodes))
+        for li, bundle in enumerate(chosen):
+            alpha[li, opens[k][li]] = np.multiply(bundle[k], grid)
+        if _late(alpha, sl.arrivals, caps[k], sl.rtt, sl.service.deadline):
             return None
         alphas.append(alpha)
-    rewards = np.array(
-        [
-            sum(net.services[k].reward * lam[li, k] * alphas[k][li].sum() for k in range(k_n))
-            for li in range(size)
-        ]
-    )
+    rewards = sum(sl.service.reward * sl.arrivals * alpha.sum(axis=1) for sl, alpha in zip(slices, alphas))
     return tuple(alphas), rewards

@@ -23,7 +23,7 @@ from fogslice.engine import (
     weak_components,
 )
 from fogslice.env import EnvState
-from fogslice.game import lone_sender_share, solve_energy_split, solve_social_welfare
+from fogslice.game import GameInstance, lone_sender_share, solve_energy_split, solve_social_welfare
 from fogslice.model import Violation
 from fogslice.oracles import value_iteration
 from fogslice.queueing import capacity
@@ -612,7 +612,7 @@ class TestSolveReuse:
             welfare = 0.0
             statuses = []
             for comp in comps:
-                g = engine._component_game(cfg.network, rec.arrivals, rec.budgets, comp)
+                g = GameInstance(cfg.network, rec.arrivals, rec.budgets).restrict(comp)
                 sol = solve_social_welfare(g, cfg.solver)
                 energy[comp] = sol.agreement.energy
                 rewards[comp] = sol.agreement.rewards
@@ -795,6 +795,22 @@ class TestCli:
         assert cli.main(["run", "--config", str(tmp_path / "nope.yaml"),
                          "--out", str(tmp_path / "x")]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--instance", "{dir}"],
+            ["run", "--config", "{dir}", "--out", "{dir}/r"],
+            ["sweep", "--config", "{dir}", "--axis", "seed", "--values", "1", "--out", "{dir}/s"],
+            ["run", "--config", "{cfg}", "--slots", "1", "--out", "{cfg}"],
+        ],
+        ids=["oracle-instance-dir", "run-config-dir", "sweep-config-dir", "run-out-file"],
+    )
+    def test_unusable_path_exits_one(self, tmp_path, capsys, argv):
+        cfg = self.write_config(tmp_path, base_engine_config())
+        argv = [a.format(dir=tmp_path, cfg=cfg) for a in argv]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_invalid_config_exits_one(self, tmp_path, capsys):
         raw = base_engine_config()

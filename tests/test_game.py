@@ -1724,12 +1724,35 @@ class TestCheckCore:
         st.floats(0.01, 0.15),
     )
     def test_grid_rows_match_recursive_enumeration(self, lam, dests, grid, theta):
-        """Zero arrivals, zero or tiny capacities and round trips at or past the deadline included."""
+        """Zero arrivals, zero or tiny capacities and round trips at or past the deadline included.
+
+        Sender 0 may use every node; ``SliceInstance.allowed`` closes the
+        edges whose round trip reaches the deadline, and the reference
+        cuts those same entries to zero with its own rule.
+        """
+        n = len(dests)
         caps = np.array([cap for cap, _ in dests])
-        # a round trip drawn as -1 stands for one exactly at the deadline
-        tau_row = np.array([theta if tau < 0 else tau for _, tau in dests])
+        # a round trip drawn as -1 stands for one exactly at the deadline;
+        # the sender's own queue is at round trip 0
+        tau_row = np.array([0.0] + [theta if tau < 0 else tau for _, tau in dests[1:]])
+        rtt = np.zeros((n, n))
+        rtt[0, :] = rtt[:, 0] = tau_row
+        sl = SliceInstance(
+            service=make_service(deadline=theta),
+            nodes=tuple(make_node() for _ in range(n)),
+            energy=np.zeros(n, dtype=int),
+            arrivals=np.zeros(n),
+            neighbors=(frozenset(range(1, n)),) + (frozenset({0}),) * (n - 1),
+            rtt=rtt,
+        )
+        open_row = sl.allowed()[0]
         want = reference_grid_rows(lam, caps, tau_row, grid, theta)
-        assert _grid_rows(lam, caps, tau_row, grid, theta) == want
+        closed = np.flatnonzero(~open_row)
+        assert all(row[m] == 0 for row in want for m in closed)
+        open_dests = np.flatnonzero(open_row)
+        assert _grid_rows(lam, caps, open_row, grid) == [
+            tuple(row[m] for m in open_dests) for row in want
+        ]
 
     @pytest.mark.parametrize("grid", [0.0, -0.1, 1.5, math.nan, math.inf])
     def test_options_reject_invalid_grid(self, grid):
@@ -1888,6 +1911,27 @@ class TestGameInstance:
     def test_accepts_whole_float_budgets_and_zero_arrivals(self):
         game = GameInstance(network=make_network(2), arrivals=np.zeros((2, 1)), budgets=np.array([0.0, 4.0]))
         assert game.budgets.tolist() == [0.0, 4.0]
+
+    def test_restrict_keeps_members_in_order(self):
+        # a path 0 - 1 - 2 - 3 with a distinct round trip on every pair
+        net = make_network(
+            n_nodes=4, neighbors=(frozenset({1}), frozenset({0, 2}), frozenset({1, 3}), frozenset({2}))
+        )
+        rtt = np.outer(np.arange(1, 5), np.arange(1, 5)) / 100
+        np.fill_diagonal(rtt, 0.0)
+        net = NetworkSpec(services=net.services, nodes=net.nodes, neighbors=net.neighbors, rtt=rtt)
+        game = GameInstance(
+            network=net, arrivals=np.array([[1.0], [2.0], [3.0], [4.0]]), budgets=np.array([5, 6, 7, 8])
+        )
+        sub = game.restrict((3, 1, 2))  # as a numpy index, a tuple means one index per axis
+        assert [nd.name for nd in sub.network.nodes] == ["n3", "n1", "n2"]
+        assert sub.arrivals.tolist() == [[4.0], [2.0], [3.0]]
+        assert sub.budgets.tolist() == [8, 6, 7]
+        assert np.array_equal(sub.network.rtt, rtt[np.ix_([3, 1, 2], [3, 1, 2])])
+        # node 1's link to node 0 crosses the cut and is dropped
+        assert sub.network.neighbors == (frozenset({2}), frozenset({2}), frozenset({0, 1}))
+        for arr in (sub.arrivals, sub.budgets, sub.network.rtt):
+            assert not arr.flags.writeable
 
 
 class TestInstanceFiles:
