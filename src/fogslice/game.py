@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import FogNodeSpec, NetworkSpec, ServiceTypeSpec, SlicingAgreement
+from .model import FogNodeSpec, NetworkSpec, ServiceTypeSpec, SlicingAgreement, frozen_array
 from .queueing import SATURATION_TOL, capacity, optimal_local_fraction, response_times
 
 # Destinations always keep this much residual capacity (requests/s); far above
@@ -68,13 +68,11 @@ class SliceInstance:
 
     def __post_init__(self):
         n = len(self.nodes)
-        energy = np.asarray(self.energy)
-        arrivals = np.asarray(self.arrivals, dtype=float)
-        rtt = np.asarray(self.rtt, dtype=float)
+        energy = frozen_array(self.energy)
+        arrivals = frozen_array(self.arrivals, dtype=float)
+        rtt = frozen_array(self.rtt, dtype=float)
         if energy.shape != (n,) or arrivals.shape != (n,) or rtt.shape != (n, n):
             raise ValueError("energy, arrivals and rtt must align with nodes")
-        for arr in (energy, arrivals, rtt):
-            arr.setflags(write=False)
         object.__setattr__(self, "energy", energy)
         object.__setattr__(self, "arrivals", arrivals)
         object.__setattr__(self, "rtt", rtt)
@@ -114,8 +112,8 @@ class GameInstance:
     budgets: np.ndarray
 
     def __post_init__(self):
-        arrivals = np.asarray(self.arrivals, dtype=float)
-        budgets = np.asarray(self.budgets)
+        arrivals = frozen_array(self.arrivals, dtype=float)
+        budgets = frozen_array(self.budgets)
         n, k = self.network.n_nodes, self.network.n_services
         if arrivals.shape != (n, k) or budgets.shape != (n,):
             raise ValueError("arrivals/budgets do not match the network")
@@ -124,8 +122,6 @@ class GameInstance:
             raise ValueError("arrivals must be finite and >= 0")
         if not ((budgets >= 0) & (budgets % 1 == 0)).all():
             raise ValueError("budgets must be whole numbers >= 0")
-        arrivals.setflags(write=False)
-        budgets.setflags(write=False)
         object.__setattr__(self, "arrivals", arrivals)
         object.__setattr__(self, "budgets", budgets)
 
@@ -228,6 +224,44 @@ class OffloadSolution:
     converged: bool
 
 
+def _pairwise_sum(xs) -> float:
+    """The floats xs summed as ``np.add.reduce`` sums them in a float64 array.
+
+    numpy adds a contiguous 1-D array pairwise: a run of up to 128 entries
+    in eight interleaved accumulators, a longer run as two halves split at
+    a multiple of 8, and the total onto the reduction's identity 0.0.  Each
+    addition here is one numpy makes, in its order, so the sums agree to the
+    last bit; only which of two NaNs a NaN sum carries is the compiler's.
+    Runs under 8 entries go left to right from 0.0 (numpy starts them from
+    -0.0 and then adds 0.0: the same sum).
+    """
+    n = len(xs)
+    if n < 8:
+        total = 0.0
+        for x in xs:
+            total += x
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+    r0, r1, r2, r3, r4, r5, r6, r7 = xs[:8]
+    end = n - n % 8
+    for i in range(8, end, 8):
+        x0, x1, x2, x3, x4, x5, x6, x7 = xs[i : i + 8]
+        r0 += x0
+        r1 += x1
+        r2 += x2
+        r3 += x3
+        r4 += x4
+        r5 += x5
+        r6 += x6
+        r7 += x7
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for x in xs[end:]:
+        total += x
+    return 0.0 + total
+
+
 def _waterfill(tau, cap, box, lam, theta):
     """Maximize sum(a) over 0 <= a <= box, sum(a) <= 1 and total delay <= theta.
 
@@ -237,11 +271,17 @@ def _waterfill(tau, cap, box, lam, theta):
     use.  The common price is the lo a geometric bisection ends on, which
     stops once the price bracket is two adjacent floats and cannot be split.
 
+    The kernel computes on Python floats, one destination at a time.  Each
+    step rounds as numpy's elementwise operation would, numpy's maximum and
+    clip are copied with their NaN rules, and the shares and delays are
+    summed by ``_pairwise_sum`` in numpy's order; so the result is the one
+    the same steps on float64 arrays give, bit for bit.
+
     Most of the bisection's verdicts are inferred, not computed.  With
     tau >= 0 at the destinations in use (and cap > 0, lam > 0) every float
     operation in the allocation and the verdict is monotone in each of its
-    arguments, and so is numpy's fixed summation order; so the verdict, as
-    computed, is monotone in the price: a price that passes answers every
+    arguments, and so is the kernel's fixed summation order; so the verdict,
+    as computed, is monotone in the price: a price that passes answers every
     lower one, and a price that fails every higher one.  Safeguarded Newton
     probes (see ``_price_probe``) first bracket the price where the verdict
     switches; the bisection then evaluates only the mids strictly between
@@ -254,55 +294,67 @@ def _waterfill(tau, cap, box, lam, theta):
             leaves no residual capacity, or a negative or NaN round trip,
             which breaks the monotonicity the inference rests on.
     """
-    full = np.zeros_like(cap)
-    active = (box > 1e-15) & (cap > RESIDUAL_FLOOR)
-    if not np.any(active) or lam <= 0:
-        return full
-    t = tau[active]
-    c = cap[active]
-    b = box[active]
-    if np.any(lam * b >= c):
+    full = [0.0] * len(cap)
+    tau, cap, box, lam, theta = tau.tolist(), cap.tolist(), box.tolist(), float(lam), float(theta)
+    on = [m for m, (cm, bm) in enumerate(zip(cap, box)) if bm > 1e-15 and cm > RESIDUAL_FLOOR]
+    if not on or not lam > 0:  # NaN too: it opens no destination
+        return np.array(full)
+    t = [tau[m] for m in on]
+    c = [cap[m] for m in on]
+    b = [box[m] for m in on]
+    if any(lam * bm >= cm for bm, cm in zip(b, c)):
         raise ValueError("box leaves a destination in use no residual capacity")
-    if not np.all(t >= 0):
+    if not all(tm >= 0 for tm in t):
         raise ValueError("a destination in use has a negative or NaN round trip")
-    phi0 = t + 1.0 / c
+    phi0 = [tm + 1.0 / cm for tm, cm in zip(t, c)]
     share_max, delay_max = 1.0 + 1e-15, theta + 1e-15
-
-    def alloc(mu):
-        inner = np.maximum(mu - t, 1e-300)
-        a = (c - np.sqrt(c / inner)) / lam
-        a = np.clip(a, 0.0, b)
-        a[mu <= phi0] = 0.0
-        return a
+    dests = list(zip(t, c, b, phi0))
 
     def measure(mu):
-        a = alloc(mu)
-        resid = np.maximum(c - lam * a, 1e-300)
-        share, delay = a.sum(), float((a * t + a / resid).sum())
+        """The allocation at price mu, its share and delay, and the verdict."""
+        a, terms = [], []
+        for tm, cm, bm, pm in dests:
+            if mu <= pm:
+                a.append(0.0)
+                terms.append(0.0 * tm)  # 0 * tm + 0 / cm
+                continue
+            inner = mu - tm
+            am = (cm - math.sqrt(cm / (1e-300 if inner <= 1e-300 else inner))) / lam
+            am = 0.0 if am < 0.0 else bm if am >= bm else am
+            resid = cm - lam * am
+            a.append(am)
+            terms.append(am * tm + am / (1e-300 if resid <= 1e-300 else resid))
+        share, delay = _pairwise_sum(a), _pairwise_sum(terms)
         return a, share, delay, share <= share_max and delay <= delay_max
 
-    resid_box = c - lam * b
-    hi = float((t + c / resid_box**2).max()) * 2.0 + 1.0
+    def spread(a):
+        for m, x in zip(on, a):
+            full[m] = x
+        return np.array(full)
+
+    # cap > RESIDUAL_FLOOR keeps cap - lam * box above 1e-22, so its square is not 0
+    tops = [tm + cm / ((cm - lam * bm) * (cm - lam * bm)) for tm, cm, bm in zip(t, c, b)]
+    # an infinite cap makes its top NaN, and numpy's max returns it
+    hi = (math.nan if any(x != x for x in tops) else max(tops)) * 2.0 + 1.0
     a, share, delay, ok = measure(hi)
     if ok:
-        full[active] = a
-        return full
-    lo = float(phi0.min())
+        return spread(a)
+    lo = min(phi0)
     # probes: good passes, bad fails; they only narrow the range the bisection
     # below must evaluate, so a probe budget running out costs time, not bits
     good, bad = lo, hi
-    mu, a, share, delay, ok = lo, np.zeros_like(c), 0.0, 0.0, True  # alloc(lo) is all zeros
-    k = np.sqrt(c) / lam
+    mu, a, share, delay, ok = lo, [0.0] * len(c), 0.0, 0.0, True  # the allocation at lo is all zeros
+    k = [math.sqrt(cm) / lam for cm in c]
     for _ in range(64):
-        opened = (mu >= phi0) & (a < b)
-        if opened.any():
-            nxt = _price_probe(mu, t[opened], k[opened], share_max - share, delay_max - delay)
+        opened = [(tm, km) for tm, km, pm, am, bm in zip(t, k, phi0, a, b) if mu >= pm and am < bm]
+        if opened:
+            nxt = _price_probe(mu, *zip(*opened), share_max - share, delay_max - delay)
             # once the fit stalls at the switch, step one ulp across it
             nxt = max(nxt, mu + math.ulp(mu)) if ok else min(nxt, mu - math.ulp(mu))
         else:
             # every destination is shut or full: nothing moves before the next opening price
-            above = phi0[phi0 > mu]
-            nxt = float(above.min()) if ok and above.size else math.nan
+            above = [pm for pm in phi0 if pm > mu]
+            nxt = min(above) if ok and above else math.nan
         if not good < nxt < bad:
             nxt = math.sqrt(good * bad)
             if not good < nxt < bad:
@@ -322,16 +374,13 @@ def _waterfill(tau, cap, box, lam, theta):
             lo = mid
         else:
             hi = mid
-    best = alloc(lo)
-    best[best < 1e-12] = 0.0
-    full[active] = best
-    return full
+    return spread([0.0 if x < 1e-12 else x for x in measure(lo)[0]])
 
 
 def _price_probe(mu, t, k, share_gap, delay_gap):
     """Next water-fill price to probe, from the allocation at price mu.
 
-    t and k = sqrt(cap)/lam cover the destinations open and below their box
+    t and k = sqrt(cap)/lam list the destinations open and below their box
     at mu; share_gap and delay_gap are the limits minus the share S and the
     delay G there.  Until a destination opens or fills, S(x) = const -
     sum k (x - t)^-1/2, so S' = 0.5 sum k (x - t)^-1.5, and G' = x S'.  The
@@ -341,10 +390,11 @@ def _price_probe(mu, t, k, share_gap, delay_gap):
     which either fit meets its limit (NaN if the delay fit cannot), written
     as steps from mu so that they survive when the gaps are tiny.
     """
-    zi = 1.0 / (mu - t)
-    p = k * zi * np.sqrt(zi)
-    d1 = 0.5 * float(p.sum())
-    d2 = 0.75 * float((p * zi).sum())
+    # an open destination has mu >= t; where they are equal, 1/0 is inf as in numpy
+    zi = [1.0 / x if (x := mu - tm) else math.inf for tm in t]
+    p = [km * z * math.sqrt(z) for km, z in zip(k, zi)]
+    d1 = 0.5 * _pairwise_sum(p)
+    d2 = 0.75 * _pairwise_sum([pm * z for pm, z in zip(p, zi)])
     if not (0.0 < d1 < math.inf and 0.0 < d2 < math.inf):
         return math.nan
     z = 1.5 * d1 / d2  # mu - T

@@ -21,6 +21,22 @@ class DimensionMismatch(ValueError):
     """Structural shape error, distinct from a constraint violation."""
 
 
+def frozen_array(value, dtype=None) -> np.ndarray:
+    """``value`` as a read-only array, leaving the caller's own array writeable.
+
+    ``np.asarray`` returns the caller's array itself, or a view of it, when
+    the dtype already fits; such an array is copied if it is writeable.
+    One that is already read-only, like a column of a spec's frozen
+    matrix, is kept as it is.
+    """
+    arr = np.asarray(value, dtype=dtype)
+    if arr.flags.writeable:
+        if arr is value or arr.base is not None:
+            arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class ServiceTypeSpec:
     """One service class hosted by the network.
@@ -98,7 +114,7 @@ class NetworkSpec:
         n = len(self.nodes)
         if len(self.neighbors) != n:
             raise DimensionMismatch("neighbors must have one entry per node")
-        rtt = np.asarray(self.rtt, dtype=float)
+        rtt = frozen_array(self.rtt, dtype=float)
         if rtt.shape != (n, n):
             raise DimensionMismatch(f"rtt must be {n}x{n}, got {rtt.shape}")
         if np.any(np.diag(rtt) != 0.0):
@@ -109,7 +125,6 @@ class NetworkSpec:
             for j in nbrs:
                 if not isinstance(j, (int, np.integer)) or not 0 <= j < n or j == i:
                     raise ValueError(f"invalid neighbor {j} for node {i}")
-        rtt.setflags(write=False)
         object.__setattr__(self, "rtt", rtt)
 
     @property
@@ -145,17 +160,15 @@ class SlotState:
     harvested_prev: np.ndarray
 
     def __post_init__(self):
-        battery = np.asarray(self.battery)
-        arrivals = np.asarray(self.arrivals, dtype=float)
-        harvested = np.asarray(self.harvested_prev)
+        battery = frozen_array(self.battery)
+        arrivals = frozen_array(self.arrivals, dtype=float)
+        harvested = frozen_array(self.harvested_prev)
         if arrivals.ndim != 2:
             raise DimensionMismatch("arrivals must be 2-D (nodes x services)")
         if battery.shape != (arrivals.shape[0],) or harvested.shape != battery.shape:
             raise DimensionMismatch("battery/harvested_prev must be 1-D per node")
         if np.any(arrivals < 0):
             raise ValueError("arrival rates must be >= 0")
-        for arr in (battery, arrivals, harvested):
-            arr.setflags(write=False)
         object.__setattr__(self, "battery", battery)
         object.__setattr__(self, "arrivals", arrivals)
         object.__setattr__(self, "harvested_prev", harvested)
@@ -179,9 +192,9 @@ class SlicingAgreement:
     rewards: np.ndarray
 
     def __post_init__(self):
-        energy = np.asarray(self.energy)
-        offload = np.asarray(self.offload, dtype=float)
-        rewards = np.asarray(self.rewards, dtype=float)
+        energy = frozen_array(self.energy)
+        offload = frozen_array(self.offload, dtype=float)
+        rewards = frozen_array(self.rewards, dtype=float)
         if energy.ndim != 2:
             raise DimensionMismatch("energy must be 2-D (nodes x services)")
         n, k = energy.shape
@@ -189,8 +202,6 @@ class SlicingAgreement:
             raise DimensionMismatch(f"offload must be ({k},{n},{n}), got {offload.shape}")
         if rewards.shape != (n, k):
             raise DimensionMismatch(f"rewards must be ({n},{k}), got {rewards.shape}")
-        for arr in (energy, offload, rewards):
-            arr.setflags(write=False)
         object.__setattr__(self, "energy", energy)
         object.__setattr__(self, "offload", offload)
         object.__setattr__(self, "rewards", rewards)

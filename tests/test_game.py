@@ -28,6 +28,7 @@ from fogslice.game import (
     _joint_constraints,
     _joint_refine,
     _last_feasible,
+    _pairwise_sum,
     _polish_priority,
     _row_boxes,
     _slice_bound,
@@ -586,6 +587,16 @@ ROW24 = (
     0.1,
 )
 
+# past 128 destinations numpy's pairwise sum splits the row in halves; summed
+# without the split, or left to right, this row ends on another price
+ROW150 = (
+    np.resize([0.0, 0.005, 0.02, 0.06], 150),
+    np.linspace(5.0, 120.0, 150),
+    np.full(150, 0.02),
+    30.0,
+    0.1,
+)
+
 
 def reference_row_boxes(work, alpha, i):
     """The per-destination loop ``_row_boxes`` must match bit for bit."""
@@ -1038,6 +1049,7 @@ class TestWaterfill:
     @example(SCARCE_PAIR)
     @example(PLATEAU)
     @example(ROW24)
+    @example(ROW150)
     def test_matches_reference_bisection(self, args):
         ref, _ = reference_waterfill(*args)
         assert _waterfill(*args).tobytes() == ref.tobytes()
@@ -1127,6 +1139,33 @@ class TestWaterfill:
         # a destination out of use may carry any round trip
         out = _waterfill(np.array([0.0, 0.01, bad]), cap, box, 10.0, 0.1)
         assert 0.0 < out.sum() <= 0.4
+
+
+class TestPairwiseSum:
+    @pytest.mark.parametrize("mix", ["magnitudes", "signed-zeros", "inf-and-nan"])
+    def test_matches_numpy_bit_for_bit(self, mix):
+        """Lengths 0-300 reach every branch: under 8, eight accumulators, halves past 128.
+
+        Which of two NaNs a sum carries is the compiler's choice, in numpy
+        and in CPython alike, so a NaN sum is held to being NaN.
+        """
+        rng = np.random.default_rng(20261020)
+        for n in range(301):
+            xs = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-20.0, 20.0, n)
+            if mix == "signed-zeros":
+                xs = np.where(rng.random(n) < 0.9, rng.choice([0.0, -0.0], n), xs)
+                if n % 3 == 0:
+                    xs = np.full(n, -0.0)
+            elif mix == "inf-and-nan":
+                special = rng.random(n) < 0.03
+                xs[special] = rng.choice([np.inf, -np.inf, np.nan, -0.0], special.sum())
+            with np.errstate(invalid="ignore"):
+                want = np.add.reduce(xs)
+            got = _pairwise_sum(xs.tolist())
+            if math.isnan(want):
+                assert math.isnan(got), n
+            else:
+                assert np.float64(got).tobytes() == want.tobytes(), n
 
 
 class TestEnergySplit:
@@ -1911,6 +1950,28 @@ class TestGameInstance:
     def test_accepts_whole_float_budgets_and_zero_arrivals(self):
         game = GameInstance(network=make_network(2), arrivals=np.zeros((2, 1)), budgets=np.array([0.0, 4.0]))
         assert game.budgets.tolist() == [0.0, 4.0]
+
+    def test_leaves_caller_arrays_writable(self):
+        arrivals, budgets = np.array([[20.0], [1.0]]), np.array([3, 4])
+        game = GameInstance(network=make_network(2), arrivals=arrivals, budgets=budgets)
+        arrivals[0, 0], budgets[0] = 9.0, 9  # the game froze copies, not the caller's arrays
+        assert game.arrivals.tolist() == [[20.0], [1.0]]
+        assert game.budgets.tolist() == [3, 4]
+        assert not game.arrivals.flags.writeable and not game.budgets.flags.writeable
+
+    def test_slice_leaves_caller_arrays_writable(self):
+        net = make_network(2)
+        energy, arrivals, rtt = np.array([2, 0]), np.array([5.0, 1.0]), net.rtt.copy()
+        sl = SliceInstance(net.services[0], net.nodes, energy, arrivals, net.neighbors, rtt)
+        energy[0], arrivals[0], rtt[0, 1] = 9, 9.0, 0.5
+        assert sl.energy.tolist() == [2, 0] and sl.arrivals.tolist() == [5.0, 1.0]
+        assert sl.rtt[0, 1] == 0.02
+        for arr in (sl.energy, sl.arrivals, sl.rtt):
+            assert not arr.flags.writeable
+        # read-only inputs need no copy: slice_for's views share the game's memory
+        game = GameInstance(network=net, arrivals=np.array([[20.0], [1.0]]), budgets=np.array([3, 4]))
+        view = game.slice_for(0, np.array([2, 1]))
+        assert np.shares_memory(view.arrivals, game.arrivals) and view.rtt is net.rtt
 
     def test_restrict_keeps_members_in_order(self):
         # a path 0 - 1 - 2 - 3 with a distinct round trip on every pair

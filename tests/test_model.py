@@ -193,6 +193,38 @@ class TestSpecTypes:
         assert np.array_equal(ag.consumed(), [4, 2])
         assert np.allclose(ag.total_rewards(), [6.0, 2.0])
 
+    def test_network_leaves_caller_rtt_writable(self):
+        from fogslice.model import NetworkSpec
+
+        rtt = np.array([[0.0, 0.02], [0.02, 0.0]])
+        nodes = (make_node(), make_node())
+        net = NetworkSpec(
+            services=(make_service(),), nodes=nodes, neighbors=(frozenset({1}), frozenset({0})), rtt=rtt
+        )
+        rtt[0, 1] = 0.5  # the spec froze a copy, not the caller's matrix
+        assert net.rtt[0, 1] == 0.02
+        assert not net.rtt.flags.writeable
+
+    def test_slot_state_leaves_caller_arrays_writable(self):
+        battery, arrivals, harvested = np.array([3, 4]), np.array([[2.0], [1.0]]), np.array([1, 0])
+        state = SlotState(battery=battery, arrivals=arrivals, harvested_prev=harvested)
+        battery[0], arrivals[0, 0], harvested[0] = 9, 9.0, 9
+        assert state.battery.tolist() == [3, 4]
+        assert state.arrivals.tolist() == [[2.0], [1.0]]
+        assert state.harvested_prev.tolist() == [1, 0]
+        for arr in (state.battery, state.arrivals, state.harvested_prev):
+            assert not arr.flags.writeable
+
+    def test_agreement_leaves_caller_arrays_writable(self):
+        energy, offload, rewards = np.array([[3], [1]]), np.full((1, 2, 2), 0.25), np.array([[5.0], [1.0]])
+        ag = SlicingAgreement(energy=energy, offload=offload, rewards=rewards)
+        energy[0, 0], offload[0, 0, 0], rewards[0, 0] = 9, 0.9, 9.0
+        assert ag.energy.tolist() == [[3], [1]]
+        assert ag.offload[0, 0, 0] == 0.25
+        assert ag.rewards.tolist() == [[5.0], [1.0]]
+        for arr in (ag.energy, ag.offload, ag.rewards):
+            assert not arr.flags.writeable
+
     def test_agreement_shape_checks(self):
         with pytest.raises(DimensionMismatch):
             SlicingAgreement(

@@ -11,6 +11,11 @@ model tensor came out byte for byte the same.
     python3 tools/same_output.py episodes > part.txt   # one part only
     python3 tools/same_output.py --against HEAD~1 games
 
+Output bytes depend on the BLAS thread count: SciPy's SLSQP, which the
+joint refine calls, runs on BLAS.  So this script sets the thread
+variables of ``perfbench/run.py`` (``BLAS_VARS``) to 1 before numpy is
+imported, as the benchmark does, and the ``--against`` runs inherit them.
+
 ``--against REV`` extracts REV with ``git archive`` into a temporary
 directory and runs this same script there and here, side by side, on the
 same parts.  It prints every label whose digest differs (or that only one
@@ -57,6 +62,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 for sub in ("src", "tests", "perfbench"):
     sys.path.insert(0, os.path.join(ROOT, sub))
 
+import run  # noqa: E402,F401  sets perfbench's BLAS_VARS to 1 before numpy is imported
 import numpy as np  # noqa: E402
 
 import test_acceptance as acc  # noqa: E402
