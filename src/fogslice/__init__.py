@@ -76,9 +76,7 @@ from .topology import (
     DistanceRtt,
     KNearestRule,
     RadiusRule,
-    Topology,
     build_neighbors,
-    load_positions,
     pairwise_distances,
     synth_topology,
 )

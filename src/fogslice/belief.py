@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import frozen_array
+
 ROW_TOL = 1e-9
 # Action values within this of the best count as tied; so do action costs.
 TIE_TOL = 1e-9
@@ -69,9 +71,9 @@ class FinitePomdp:
 
     def __post_init__(self):
         s_n, a_n, o_n = len(self.states), len(self.actions), len(self.observations)
-        t = np.asarray(self.transition, dtype=float)
-        th = np.asarray(self.observation, dtype=float)
-        r = np.asarray(self.reward, dtype=float)
+        t = frozen_array(self.transition, dtype=float)
+        th = frozen_array(self.observation, dtype=float)
+        r = frozen_array(self.reward, dtype=float)
         if t.shape != (a_n, s_n, s_n):
             raise ValueError(f"transition must be ({a_n},{s_n},{s_n})")
         if th.shape != (a_n, s_n, o_n):
@@ -84,8 +86,6 @@ class FinitePomdp:
             raise ValueError("observation rows must be stochastic")
         if not 0 <= self.gamma < 1:
             raise ValueError("gamma must lie in [0, 1)")
-        for arr in (t, th, r):
-            arr.setflags(write=False)
         object.__setattr__(self, "transition", t)
         object.__setattr__(self, "observation", th)
         object.__setattr__(self, "reward", r)

@@ -267,10 +267,15 @@ def build_config(cfg: dict) -> ExperimentConfig:
     if isinstance(nodes_cfg, dict):
         _mapping(nodes_cfg, "nodes", GENERATOR_KEYS)
         count = _as_int(nodes_cfg.get("count"), "nodes.count")
+        if count < 1:
+            _fail("nodes.count", f"must be >= 1, got {count}")
+        profile = str(nodes_cfg.get("profile", "urban"))
+        if profile not in topo_mod.PROFILES:
+            _fail("nodes.profile", f"must be one of {tuple(topo_mod.PROFILES)}, got {profile!r}")
         positions = topo_mod.synth_topology(
             count,
             _as_int(nodes_cfg.get("seed", seed), "nodes.seed"),
-            profile=str(nodes_cfg.get("profile", "urban")),
+            profile=profile,
             radius_m=_as_num(nodes_cfg.get("radius", 1000.0), "nodes.radius"),
         )
         node_cfgs = [dict(node_defaults) for _ in range(count)]
@@ -298,9 +303,12 @@ def build_config(cfg: dict) -> ExperimentConfig:
     topo_cfg = _mapping(cfg.get("topology", {}), "topology", TOPOLOGY_KEYS)
     rule_name = topo_cfg.get("rule", "radius")
     if rule_name == "radius":
-        rule = topo_mod.RadiusRule(_as_num(topo_cfg.get("radius", 500.0), "topology.radius"))
+        radius = _as_num(topo_cfg.get("radius", 500.0), "topology.radius")
+        if radius <= 0:
+            _fail("topology.radius", f"must be > 0, got {radius!r}")
+        rule = topo_mod.RadiusRule(radius)
     elif rule_name == "knearest":
-        rule = topo_mod.KNearestRule(_as_int(topo_cfg.get("k"), "topology.k"))
+        rule = topo_mod.KNearestRule(_nonneg(topo_cfg.get("k"), "topology.k", parse=_as_int))
     else:
         _fail("topology.rule", f"unknown rule {rule_name!r}")
     rtt_cfg = _mapping(topo_cfg.get("rtt", {"kind": "constant"}), "topology.rtt", RTT_KEYS)
@@ -314,8 +322,8 @@ def build_config(cfg: dict) -> ExperimentConfig:
         )
     else:
         _fail("topology.rtt.kind", f"unknown rtt kind {rtt_cfg.get('kind')!r}")
-    topo = topo_mod.build_neighbors(positions, rule, rtt_rule)
-    network = NetworkSpec(services=services, nodes=node_specs, neighbors=topo.neighbors, rtt=topo.rtt)
+    neighbors, rtt = topo_mod.build_neighbors(positions, rule, rtt_rule)
+    network = NetworkSpec(services=services, nodes=node_specs, neighbors=neighbors, rtt=rtt)
 
     harvest_chains, arrival_chains, caps, b_init = [], [], [], []
     for i, c in enumerate(node_cfgs):
@@ -381,10 +389,10 @@ def policy_adjacency(cfg: ExperimentConfig) -> list[set[int]]:
     dist = topo_mod.pairwise_distances(cfg.positions)
     if pol.kind == "nearest_neighbor":
         for i in range(n):
-            nbrs = sorted(net.neighbors[i], key=lambda j: (dist[i, j], j))
-            if nbrs:
-                adj[i].add(nbrs[0])
-                adj[nbrs[0]].add(i)
+            if net.neighbors[i]:
+                j = topo_mod.nearest_first(dist, i, net.neighbors[i])[0]
+                adj[i].add(j)
+                adj[j].add(i)
         return adj
     # radius_coop keeps the forwarding edges within its radius, if it has
     # one; myopic and bpomdp cooperate over the whole forwarding graph
@@ -446,9 +454,7 @@ class _AgentMind:
         self.type_space = belief_mod.TypeSpace.default()
         eu = self.node.unit_energy
         dist = topo_mod.pairwise_distances(cfg.positions)
-        self.helpers = sorted(cfg.network.neighbors[i], key=lambda j: (dist[i, j], j))[
-            : pol.helper_cap
-        ]
+        self.helpers = topo_mod.nearest_first(dist, i, cfg.network.neighbors[i])[: pol.helper_cap]
         self.helper_nodes = [cfg.network.nodes[j] for j in self.helpers]
         self.tau = [float(cfg.network.rtt[i, j]) for j in self.helpers]
         self.counts = np.ones((len(self.helpers), self.type_space.n_types))
@@ -512,6 +518,7 @@ class _AgentMind:
         t = np.zeros((a_n, s_n, cap + 1, *shape[1:]))
         t[np.arange(a_n)[:, None], np.arange(s_n), b_next.T] = chains[h, ar]
         self._transition = t.reshape(a_n, s_n, s_n)
+        self._transition.setflags(write=False)  # so each slot's FinitePomdp keeps it uncopied
         self._profiles = belief_mod.enumerate_profiles(len(self.helpers), self.type_space.n_types)
         payoffs = np.array(
             [[[payoff(p, av, u) for u in budgets] for av in avecs] for p in self._profiles]
@@ -829,20 +836,28 @@ class SweepResult:
 
 
 def set_config_value(cfg: dict, dotted: str, value):
-    """Return a deep-copied config with one dotted path replaced."""
+    """Return a deep-copied config with one dotted path replaced.
+
+    Each step names a mapping key (created if missing) or a list index.
+    Any other step raises ``ConfigError`` naming the axis and the step.
+    """
     out = json.loads(json.dumps(cfg))
     node = out
     parts = dotted.split(".")
-    for part in parts[:-1]:
+    for depth, part in enumerate(parts):
+        where = ".".join(parts[:depth])
         if isinstance(node, list):
-            node = node[int(part)]
+            try:
+                part = int(part)
+                node[part]
+            except (ValueError, IndexError):
+                _fail(f"axis {dotted}", f"{where} has no index {part!r} (a list of {len(node)})")
+        elif not isinstance(node, dict):
+            _fail(f"axis {dotted}", f"{where} is {node!r}, not a mapping or a list")
+        if depth == len(parts) - 1:
+            node[part] = value
         else:
-            node = node.setdefault(part, {})
-    last = parts[-1]
-    if isinstance(node, list):
-        node[int(last)] = value
-    else:
-        node[last] = value
+            node = node[part] if isinstance(node, list) else node.setdefault(part, {})
     return out
 
 

@@ -1,20 +1,18 @@
 """Node placement, neighbor discovery and round-trip-time assignment.
 
-Positions are planar coordinates in meters.  Geographic input (lon/lat) is
-projected with a local equirectangular projection around the first row,
-which is accurate at metropolitan scale.
+Positions are planar coordinates in meters.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-EARTH_RADIUS_M = 6_371_000.0
 DEFAULT_RTT_S = 0.020
+# Radial exponent of each synth_topology profile: r = radius * u**exponent.
+PROFILES = {"urban": 2.0, "uniform": 0.5}
 
 
 @dataclass(frozen=True)
@@ -48,88 +46,28 @@ class DistanceRtt:
     per_meter: float
 
 
-@dataclass(frozen=True)
-class Topology:
-    positions: np.ndarray
-    neighbors: tuple[frozenset[int], ...]
-    rtt: np.ndarray
-
-    def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        rtt = np.asarray(self.rtt, dtype=float)
-        n = pos.shape[0]
-        if pos.ndim != 2 or pos.shape[1] != 2:
-            raise ValueError("positions must be n x 2")
-        if rtt.shape != (n, n) or np.any(np.diag(rtt) != 0) or not np.allclose(rtt, rtt.T):
-            raise ValueError("rtt must be symmetric n x n with zero diagonal")
-        pos.setflags(write=False)
-        rtt.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "rtt", rtt)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.positions.shape[0]
-
-
 def pairwise_distances(positions: np.ndarray) -> np.ndarray:
     pos = np.asarray(positions, dtype=float)
     diff = pos[:, None, :] - pos[None, :, :]
     return np.sqrt((diff**2).sum(axis=2))
 
 
-def load_positions(path: str, fmt: str = "xy") -> np.ndarray:
-    """Read node positions from a CSV of ``id,x_meters,y_meters`` rows.
-
-    With fmt="lonlat" the columns are ``id,lon_deg,lat_deg`` and are
-    projected equirectangularly around the first row.  Duplicate ids and
-    malformed rows are rejected with their line number.
-    """
-    if fmt not in ("xy", "lonlat"):
-        raise ValueError(f"unknown format {fmt!r}")
-    ids: set[str] = set()
-    raw: list[tuple[float, float]] = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if lineno == 1 and not _is_number(row[1] if len(row) > 1 else ""):
-                continue  # header row
-            if len(row) != 3:
-                raise ValueError(f"line {lineno}: expected 3 columns, got {len(row)}")
-            node_id = row[0].strip()
-            if node_id in ids:
-                raise ValueError(f"line {lineno}: duplicate id {node_id!r}")
-            ids.add(node_id)
-            try:
-                a, b = float(row[1]), float(row[2])
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: malformed coordinate: {exc}") from None
-            raw.append((a, b))
-    if not raw:
-        raise ValueError("no position rows found")
-    if fmt == "xy":
-        return np.array(raw)
-    lon0, lat0 = raw[0]
-    scale = EARTH_RADIUS_M * math.pi / 180.0
-    coslat = math.cos(math.radians(lat0))
-    return np.array([((lon - lon0) * scale * coslat, (lat - lat0) * scale) for lon, lat in raw])
-
-
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False
+def nearest_first(dist: np.ndarray, i: int, candidates) -> list[int]:
+    """``candidates`` ordered by their distance from node ``i``, ties to the lower index."""
+    return sorted(candidates, key=lambda j: (dist[i, j], j))
 
 
 def build_neighbors(
     positions: np.ndarray,
     rule: RadiusRule | KNearestRule,
     rtt: ConstantRtt | DistanceRtt = ConstantRtt(),
-) -> Topology:
-    """Build the forwarding graph and RTT matrix for a set of positions."""
+) -> tuple[tuple[frozenset[int], ...], np.ndarray]:
+    """The forwarding graph and RTT matrix for a set of positions.
+
+    Returns ``(neighbors, rtt)``, the two fields ``NetworkSpec`` takes:
+    node i's forwarding targets, and the symmetric round trips with a zero
+    diagonal.
+    """
     pos = np.asarray(positions, dtype=float)
     n = pos.shape[0]
     dist = pairwise_distances(pos)
@@ -141,12 +79,10 @@ def build_neighbors(
     elif isinstance(rule, KNearestRule):
         if rule.k < 0:
             raise ValueError("k must be >= 0")
-        neighbors = []
-        for i in range(n):
-            others = [j for j in range(n) if j != i]
-            order = sorted(others, key=lambda j: (dist[i, j], j))
-            neighbors.append(frozenset(order[: rule.k]))
-        neighbors = tuple(neighbors)
+        neighbors = tuple(
+            frozenset(nearest_first(dist, i, (j for j in range(n) if j != i))[: rule.k])
+            for i in range(n)
+        )
     else:
         raise TypeError(f"unknown neighbor rule: {rule!r}")
 
@@ -157,7 +93,7 @@ def build_neighbors(
     else:
         raise TypeError(f"unknown rtt model: {rtt!r}")
     np.fill_diagonal(rtt_matrix, 0.0)
-    return Topology(positions=pos, neighbors=neighbors, rtt=rtt_matrix)
+    return neighbors, rtt_matrix
 
 
 def synth_topology(
@@ -174,15 +110,11 @@ def synth_topology(
     """
     if n < 1:
         raise ValueError("need at least one node")
-    rng = np.random.default_rng(seed)
-    if profile == "urban":
-        exponent = 2.0
-    elif profile == "uniform":
-        exponent = 0.5
-    else:
+    if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
+    rng = np.random.default_rng(seed)
     u = rng.random(n - 1)
-    r = radius_m * u**exponent
+    r = radius_m * u ** PROFILES[profile]
     angle = rng.random(n - 1) * 2.0 * math.pi
     points = np.zeros((n, 2))
     points[1:, 0] = r * np.cos(angle)

@@ -104,6 +104,26 @@ def save_or_spend_model():
     )
 
 
+class TestFinitePomdp:
+    def test_leaves_caller_arrays_writable(self):
+        t, th = np.array([[[0.9, 0.1], [0.2, 0.8]]]), identity_obs(1, 2)
+        r = np.array([[1.0], [0.0]])
+        model = FinitePomdp(
+            states=("a", "b"),
+            actions=("go",),
+            observations=("a", "b"),
+            transition=t,
+            observation=th,
+            reward=r,
+        )
+        t[0, 0, 0], th[0, 0, 0], r[0, 0] = 0.5, 0.5, 9.0  # the model froze copies
+        assert model.transition[0, 0].tolist() == [0.9, 0.1]
+        assert model.observation[0, 0].tolist() == [1.0, 0.0]
+        assert model.reward.tolist() == [[1.0], [0.0]]
+        for arr in (model.transition, model.observation, model.reward):
+            assert not arr.flags.writeable
+
+
 class TestEnvBelief:
     def test_deterministic_point_mass(self):
         model = FinitePomdp(

@@ -27,6 +27,7 @@ from fogslice.game import GameInstance, lone_sender_share, solve_energy_split, s
 from fogslice.model import Violation
 from fogslice.oracles import value_iteration
 from fogslice.queueing import capacity
+from fogslice.topology import KNearestRule, build_neighbors, pairwise_distances
 
 from conftest import base_engine_config
 from test_acceptance import scarcity_config
@@ -200,6 +201,14 @@ class TestBuildConfig:
                 lambda c: c["nodes"][0].update(position=[float("-inf"), 0.0]),
                 "nodes[0].position[0]: must be finite",
             ),
+            # geography handed to topology
+            (lambda c: c["topology"].update(radius=0), "topology.radius: must be > 0"),
+            (lambda c: c["topology"].update(rule="knearest", k=-1), "topology.k: must be >= 0"),
+            (lambda c: c.update(nodes={"count": 0}), "nodes.count: must be >= 1"),
+            (
+                lambda c: c.update(nodes={"count": 3, "profile": "foo"}),
+                "nodes.profile: must be one of ('urban', 'uniform'), got 'foo'",
+            ),
         ],
     )
     def test_bad_configs_name_the_field(self, mutate, fragment):
@@ -208,6 +217,43 @@ class TestBuildConfig:
         with pytest.raises(ConfigError) as err:
             build_config(raw)
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize(
+        "rule",
+        [{"rule": "radius", "radius": 400.0}, {"rule": "knearest", "k": 3}],
+        ids=["radius", "knearest"],
+    )
+    @pytest.mark.parametrize(
+        "rtt",
+        [
+            {"kind": "constant", "tau0": 0.015},
+            {"kind": "distance", "base": 0.005, "per_meter": 5e-5},
+        ],
+        ids=["constant", "distance"],
+    )
+    def test_topology_matches_a_local_build(self, rule, rtt):
+        raw = base_engine_config(
+            nodes={"count": 12, "radius": 600.0, "seed": 5},
+            topology={**rule, "rtt": rtt},
+        )
+        raw["defaults"]["arrivals"] = [{"kind": "constant", "value": 5.0}]
+        cfg = build_config(raw)
+        dist = pairwise_distances(cfg.positions)
+        n = len(dist)
+        expected = []
+        for i in range(n):
+            others = [j for j in range(n) if j != i]
+            if rule["rule"] == "radius":
+                expected.append(frozenset(j for j in others if dist[i, j] <= 400.0))
+            else:
+                expected.append(frozenset(sorted(others, key=lambda j: (dist[i, j], j))[:3]))
+        if rtt["kind"] == "constant":
+            rtt_matrix = np.full((n, n), 0.015)
+        else:
+            rtt_matrix = 0.005 + 5e-5 * dist
+        np.fill_diagonal(rtt_matrix, 0.0)
+        assert cfg.network.neighbors == tuple(expected)
+        assert cfg.network.rtt.tobytes() == rtt_matrix.tobytes()
 
     @pytest.mark.parametrize(
         "mutate, path",
@@ -285,6 +331,23 @@ class TestPolicyAdjacency:
         assert adj[2] == {1}
         assert adj[1] == {0, 2}
         assert weak_components(adj) == [[0, 1, 2]]
+
+    def test_equidistant_tie_goes_to_lower_index(self):
+        # nodes 1 and 2 sit 100 m either side of node 0; node 3 is nearest
+        # to node 2, so node 0's own pick alone sets its nearest_neighbor edge
+        positions = [[0.0, 0.0], [100.0, 0.0], [-100.0, 0.0], [-150.0, 0.0]]
+        raw = base_engine_config(
+            nodes=[{"position": p, "battery_init": 5} for p in positions],
+            policy={"kind": "nearest_neighbor"},
+        )
+        raw["defaults"]["arrivals"] = [{"kind": "constant", "value": 5.0}]
+        raw["topology"]["radius"] = 120.0
+        cfg = build_config(raw)
+        assert cfg.network.neighbors[0] == {1, 2}
+        assert build_neighbors(cfg.positions, KNearestRule(1))[0][0] == {1}
+        assert policy_adjacency(cfg)[0] == {1}
+        raw["policy"] = {"kind": "bpomdp", "depth": 1, "helper_cap": 1}
+        assert engine._AgentMind(build_config(raw), 0).helpers == [1]
 
     def test_radius_coop_respects_policy_radius(self):
         raw = starved_pair_config()
@@ -743,6 +806,22 @@ class TestSweep:
         with pytest.raises(ConfigError) as err:
             run_sweep(self.scarce_solo(), "topology.rtt.tau_0", [0.5], reps=1)
         assert "topology.rtt.tau_0" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "axis, step",
+        [
+            ("seed.foo", "seed is 7, not a mapping or a list"),
+            ("nodes.9.battery_init", "nodes has no index 9"),
+        ],
+        ids=["into-a-number", "past-the-node-list"],
+    )
+    def test_bad_axis_exits_one(self, tmp_path, capsys, axis, step):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump(self.scarce_solo()))
+        argv = ["sweep", "--config", str(cfg), "--axis", axis, "--values", "1"]
+        assert cli.main(argv + ["--out", str(tmp_path / "s")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: axis {axis}: {step}")
 
     def test_reps_must_be_positive(self):
         with pytest.raises(ConfigError):

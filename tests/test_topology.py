@@ -1,4 +1,4 @@
-"""Position loading, neighbor rules, rtt assignment, synthetic layouts."""
+"""Neighbor rules, rtt assignment, synthetic layouts."""
 
 import math
 
@@ -11,127 +11,64 @@ from fogslice.topology import (
     KNearestRule,
     RadiusRule,
     build_neighbors,
-    load_positions,
     pairwise_distances,
     synth_topology,
 )
 
 
-class TestLoadPositions:
-    def test_three_rows(self, tmp_path):
-        path = tmp_path / "pos.csv"
-        path.write_text("id,x,y\na1,0,0\nb2,100,0\nc3,0,250\n")
-        pos = load_positions(str(path))
-        assert pos.shape == (3, 2)
-        assert pos[2, 1] == 250.0
-
-    def test_duplicate_id_names_line(self, tmp_path):
-        path = tmp_path / "pos.csv"
-        path.write_text("a,0,0\nb,1,1\na,2,2\n")
-        with pytest.raises(ValueError) as err:
-            load_positions(str(path))
-        assert "line 3" in str(err.value)
-
-    def test_malformed_coordinate_names_line(self, tmp_path):
-        path = tmp_path / "pos.csv"
-        path.write_text("a,0,0\nb,oops,1\n")
-        with pytest.raises(ValueError) as err:
-            load_positions(str(path))
-        assert "line 2" in str(err.value)
-
-    def test_wrong_column_count(self, tmp_path):
-        path = tmp_path / "pos.csv"
-        path.write_text("a,0,0\nb,1\n")
-        with pytest.raises(ValueError) as err:
-            load_positions(str(path))
-        assert "line 2" in str(err.value)
-
-    def test_comments_and_blanks_skipped(self, tmp_path):
-        path = tmp_path / "pos.csv"
-        path.write_text("# survey 12\na,5,5\n\nb,6,6\n")
-        assert load_positions(str(path)).shape == (2, 2)
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "pos.csv"
-        path.write_text("# nothing here\n")
-        with pytest.raises(ValueError):
-            load_positions(str(path))
-
-    def test_lonlat_projection_scale(self, tmp_path):
-        # 0.01 deg of latitude is ~1111 m everywhere; 0.01 deg of longitude
-        # at lat 53 shrinks by cos(53 deg) to ~668 m
-        path = tmp_path / "pos.csv"
-        path.write_text("base,-6.26,53.35\neast,-6.25,53.35\nnorth,-6.26,53.36\n")
-        pos = load_positions(str(path), fmt="lonlat")
-        east = np.linalg.norm(pos[1] - pos[0])
-        north = np.linalg.norm(pos[2] - pos[0])
-        assert north == pytest.approx(1111.95, rel=0.01)
-        assert east == pytest.approx(1111.95 * math.cos(math.radians(53.35)), rel=0.01)
-
-    def test_unknown_format(self, tmp_path):
-        path = tmp_path / "pos.csv"
-        path.write_text("a,0,0\n")
-        with pytest.raises(ValueError):
-            load_positions(str(path), fmt="polar")
-
-
 class TestNeighborRules:
     def test_radius_rule_thresholds(self):
         pos = np.array([[0.0, 0.0], [300.0, 0.0], [900.0, 0.0]])
-        topo = build_neighbors(pos, RadiusRule(500.0))
-        assert topo.neighbors[0] == frozenset({1})
-        assert topo.neighbors[1] == frozenset({0})
-        assert topo.neighbors[2] == frozenset()
+        neighbors, _ = build_neighbors(pos, RadiusRule(500.0))
+        assert neighbors == (frozenset({1}), frozenset({0}), frozenset())
 
     def test_radius_complete_on_tight_cluster(self):
         # every pairwise distance 400 m, radius 500 m
         pos = np.array([[0.0, 0.0], [400.0, 0.0], [200.0, 200.0 * math.sqrt(3)]])
         d = pairwise_distances(pos)
         assert np.allclose(d[~np.eye(3, dtype=bool)], 400.0)
-        topo = build_neighbors(pos, RadiusRule(500.0))
+        neighbors, _ = build_neighbors(pos, RadiusRule(500.0))
         for i in range(3):
-            assert topo.neighbors[i] == frozenset(range(3)) - {i}
+            assert neighbors[i] == frozenset(range(3)) - {i}
 
     def test_radius_symmetry(self, rng):
         for _ in range(20):
             pos = rng.uniform(0, 1500, (12, 2))
-            topo = build_neighbors(pos, RadiusRule(600.0))
+            neighbors, _ = build_neighbors(pos, RadiusRule(600.0))
             for i in range(12):
-                for j in topo.neighbors[i]:
-                    assert i in topo.neighbors[j]
+                for j in neighbors[i]:
+                    assert i in neighbors[j]
 
     def test_knearest_tie_prefers_lower_index(self):
         pos = np.array([[0.0, 0.0], [100.0, 0.0], [200.0, 0.0]])
-        topo = build_neighbors(pos, KNearestRule(1))
+        neighbors, _ = build_neighbors(pos, KNearestRule(1))
         # middle node is equidistant from both ends
-        assert topo.neighbors[1] == frozenset({0})
-        assert topo.neighbors[0] == frozenset({1})
-        assert topo.neighbors[2] == frozenset({1})
+        assert neighbors == (frozenset({1}), frozenset({0}), frozenset({1}))
 
     def test_knearest_counts(self, rng):
         pos = rng.uniform(0, 1000, (8, 2))
-        topo = build_neighbors(pos, KNearestRule(3))
-        for nbrs in topo.neighbors:
+        neighbors, _ = build_neighbors(pos, KNearestRule(3))
+        for nbrs in neighbors:
             assert len(nbrs) == 3
 
     def test_knearest_can_be_asymmetric(self):
         # satellite is nearest to nobody
         pos = np.array([[0.0, 0.0], [10.0, 0.0], [11.0, 5.0], [500.0, 0.0]])
-        topo = build_neighbors(pos, KNearestRule(1))
-        assert 3 not in set().union(*topo.neighbors)
-        assert topo.neighbors[3] != frozenset()
+        neighbors, _ = build_neighbors(pos, KNearestRule(1))
+        assert 3 not in set().union(*neighbors)
+        assert neighbors[3] != frozenset()
 
     def test_constant_rtt_on_edges(self):
         pos = np.array([[0.0, 0.0], [100.0, 0.0]])
-        topo = build_neighbors(pos, RadiusRule(500.0), ConstantRtt(0.02))
-        assert topo.rtt[0, 1] == 0.02
-        assert topo.rtt[1, 0] == 0.02
-        assert topo.rtt[0, 0] == 0.0
+        _, rtt = build_neighbors(pos, RadiusRule(500.0), ConstantRtt(0.02))
+        assert rtt[0, 1] == 0.02
+        assert rtt[1, 0] == 0.02
+        assert rtt[0, 0] == 0.0
 
     def test_distance_rtt(self):
         pos = np.array([[0.0, 0.0], [1000.0, 0.0]])
-        topo = build_neighbors(pos, RadiusRule(2000.0), DistanceRtt(base=0.005, per_meter=1e-5))
-        assert topo.rtt[0, 1] == pytest.approx(0.005 + 0.01)
+        _, rtt = build_neighbors(pos, RadiusRule(2000.0), DistanceRtt(base=0.005, per_meter=1e-5))
+        assert rtt[0, 1] == pytest.approx(0.005 + 0.01)
 
     def test_bad_rule_params(self):
         pos = np.zeros((2, 2))
