@@ -121,6 +121,14 @@ def _nonneg(value, path: str, parse=_as_num):
     return parse(value, path)
 
 
+def _positive(value, path: str) -> float:
+    """``_as_num(value, path)``, which must be > 0: a radius."""
+    num = _as_num(value, path)
+    if not num > 0:
+        _fail(path, f"must be > 0, got {num!r}")
+    return num
+
+
 def _discount(value, path: str) -> float:
     gamma = _as_num(value, path)
     if not 0 <= gamma < 1:
@@ -276,7 +284,7 @@ def build_config(cfg: dict) -> ExperimentConfig:
             count,
             _as_int(nodes_cfg.get("seed", seed), "nodes.seed"),
             profile=profile,
-            radius_m=_as_num(nodes_cfg.get("radius", 1000.0), "nodes.radius"),
+            radius_m=_positive(nodes_cfg.get("radius", 1000.0), "nodes.radius"),
         )
         node_cfgs = [dict(node_defaults) for _ in range(count)]
     elif isinstance(nodes_cfg, list) and nodes_cfg:
@@ -303,10 +311,7 @@ def build_config(cfg: dict) -> ExperimentConfig:
     topo_cfg = _mapping(cfg.get("topology", {}), "topology", TOPOLOGY_KEYS)
     rule_name = topo_cfg.get("rule", "radius")
     if rule_name == "radius":
-        radius = _as_num(topo_cfg.get("radius", 500.0), "topology.radius")
-        if radius <= 0:
-            _fail("topology.radius", f"must be > 0, got {radius!r}")
-        rule = topo_mod.RadiusRule(radius)
+        rule = topo_mod.RadiusRule(_positive(topo_cfg.get("radius", 500.0), "topology.radius"))
     elif rule_name == "knearest":
         rule = topo_mod.KNearestRule(_nonneg(topo_cfg.get("k"), "topology.k", parse=_as_int))
     else:
@@ -351,7 +356,7 @@ def build_config(cfg: dict) -> ExperimentConfig:
     if kind not in POLICY_KINDS:
         _fail("policy.kind", f"must be one of {POLICY_KINDS}")
     count = functools.partial(_nonneg, parse=_as_int)
-    parsers = (("gamma", _discount), ("radius", _as_num), ("depth", count), ("helper_cap", count))
+    parsers = (("gamma", _discount), ("radius", _positive), ("depth", count), ("helper_cap", count))
     policy = PolicySpec(kind=kind, **_given(pol_cfg, "policy", parsers))
 
     sol_cfg = _mapping(cfg.get("solver", {}), "solver", SOLVER_KEYS)
@@ -458,6 +463,10 @@ class _AgentMind:
         self.helper_nodes = [cfg.network.nodes[j] for j in self.helpers]
         self.tau = [float(cfg.network.rtt[i, j]) for j in self.helpers]
         self.counts = np.ones((len(self.helpers), self.type_space.n_types))
+        # the action chosen in each own state, planned under the counts whose
+        # bytes are ``_planned_for``; dropped when the counts change
+        self._planned_for = self.counts.tobytes()
+        self._decisions: dict[tuple, int] = {}
 
         hchain = cfg.env.harvest[i]
         achains = cfg.env.arrivals[i]
@@ -526,27 +535,39 @@ class _AgentMind:
         self._reward_profiles = payoffs[:, ar[:, None], avail]  # (profile, state, action)
 
     def choose_budget(self, state: env_mod.EnvState) -> int:
+        """Budget for this slot, planned once per own state while the counts hold.
+
+        The plan depends only on the counts and the agent's own (battery,
+        harvest, arrivals) state, so a state met again under the same counts
+        reuses its action.
+        """
         own = (
             int(state.battery[self.i]),
             int(state.harvest_idx[self.i]),
             tuple(int(x) for x in state.arrival_idx[self.i]),
         )
-        s_n, a_n = len(self.states), len(self.actions)
-        model = belief_mod.FinitePomdp(
-            states=tuple(self.states),
-            actions=tuple(self.actions),
-            observations=tuple(self.states),
-            transition=self._transition,
-            observation=np.broadcast_to(np.eye(s_n), (a_n, s_n, s_n)),
-            reward=belief_mod.type_profile_rewards(
-                self._reward_profiles, self._profiles, self.counts
-            ),
-            gamma=self.gamma,
-        )
-        env_belief = np.zeros(s_n)
-        env_belief[self.index[own]] = 1.0
-        costs = [-w for w in self.actions]  # ties withhold more
-        a = belief_mod.select_action(model, env_belief, self.depth, action_costs=costs)
+        counts = self.counts.tobytes()
+        if counts != self._planned_for:
+            self._planned_for, self._decisions = counts, {}
+        a = self._decisions.get(own)
+        if a is None:
+            s_n, a_n = len(self.states), len(self.actions)
+            model = belief_mod.FinitePomdp(
+                states=tuple(self.states),
+                actions=tuple(self.actions),
+                observations=tuple(self.states),
+                transition=self._transition,
+                observation=np.broadcast_to(np.eye(s_n), (a_n, s_n, s_n)),
+                reward=belief_mod.type_profile_rewards(
+                    self._reward_profiles, self._profiles, self.counts
+                ),
+                gamma=self.gamma,
+            )
+            env_belief = np.zeros(s_n)
+            env_belief[self.index[own]] = 1.0
+            costs = [-w for w in self.actions]  # ties withhold more
+            a = belief_mod.select_action(model, env_belief, self.depth, action_costs=costs)
+            self._decisions[own] = a
         return max(own[0] - self.actions[a], 0)
 
     def observe_agreement(self, agreement: SlicingAgreement, arrivals: np.ndarray):
@@ -640,6 +661,10 @@ def run_episode(config: dict | ExperimentConfig) -> EpisodeResult:
     )
     adj = policy_adjacency(cfg)
     comps = weak_components(adj)
+    # components are fixed for the episode: index each one's rows and its
+    # offload block (every service) once
+    rows = [np.array(comp) for comp in comps]
+    blocks = [np.ix_(range(k_n), comp, comp) for comp in comps]
     records = []
     belief_trace = [] if minds is not None else None
     # The solver is pure and the network, components and solver options are
@@ -659,8 +684,7 @@ def run_episode(config: dict | ExperimentConfig) -> EpisodeResult:
         rewards = np.zeros((n, k_n))
         statuses = []
         welfare = 0.0
-        for ci, comp in enumerate(comps):
-            idx = np.array(comp)
+        for ci, (comp, idx, block) in enumerate(zip(comps, rows, blocks)):
             key = (ci, arrivals[idx].tobytes(), budgets[idx].tobytes())
             sol = solved.get(key)
             if sol is None:
@@ -669,8 +693,7 @@ def run_episode(config: dict | ExperimentConfig) -> EpisodeResult:
                 solved[key] = sol
             energy[idx] = sol.agreement.energy
             rewards[idx] = sol.agreement.rewards
-            for k in range(k_n):
-                offload[k][np.ix_(comp, comp)] = sol.agreement.offload[k]
+            offload[block] = sol.agreement.offload
             welfare += sol.welfare
             statuses.append(sol.status)
         agreement = SlicingAgreement(energy=energy, offload=offload, rewards=rewards)
@@ -697,7 +720,7 @@ def run_episode(config: dict | ExperimentConfig) -> EpisodeResult:
                     for m in minds
                 )
             )
-        offloaded = np.stack([offload[k].sum(axis=1) for k in range(k_n)], axis=1) * arrivals
+        offloaded = offload.sum(axis=2).T * arrivals
         consumed = agreement.consumed().astype(int)
         state = env_mod.sample_step(cfg.env, state, consumed, rng)
         records.append(

@@ -10,7 +10,9 @@ battery held at its start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import bisect
+import functools
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -30,10 +32,13 @@ class MarkovChainSpec:
         levels: Value attached to each chain state (harvest units or req/s).
         transition: Row-stochastic matrix; transition[i, j] is the
             probability of moving from state i to state j.
+        cumulative: Running sums of each transition row as Python floats,
+            built once here so that a draw only bisects them.
     """
 
     levels: tuple[float, ...]
     transition: np.ndarray
+    cumulative: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a copy: freezing the caller's own matrix would make it read-only
@@ -48,6 +53,8 @@ class MarkovChainSpec:
             raise ValueError("transition rows must sum to 1")
         trans.setflags(write=False)
         object.__setattr__(self, "transition", trans)
+        cumulative = tuple(tuple(np.cumsum(row).tolist()) for row in trans)
+        object.__setattr__(self, "cumulative", cumulative)
         object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
 
     @property
@@ -65,10 +72,17 @@ class MarkovChainSpec:
         return pi / pi.sum()
 
     @classmethod
+    @functools.cache
     def constant(cls, value: float) -> "MarkovChainSpec":
         return cls(levels=(value,), transition=np.array([[1.0]]))
 
 
+# Chains are immutable, so the factories below and ``constant`` return one
+# shared chain per parameter set: the nodes of a generated network share their
+# chains rather than each holding its own copy of the matrix and running sums.
+
+
+@functools.cache
 def uniform_harvest(high: int, low: int = 0) -> MarkovChainSpec:
     """Harvest chain drawing uniformly from {low, ..., high} each slot."""
     if high < low:
@@ -78,6 +92,7 @@ def uniform_harvest(high: int, low: int = 0) -> MarkovChainSpec:
     return MarkovChainSpec(levels=levels, transition=np.full((n, n), 1.0 / n))
 
 
+@functools.cache
 def bursty_arrivals(low_rate: float, high_rate: float, persistence: float) -> MarkovChainSpec:
     """Two-level arrival chain that stays in its current level with the given probability."""
     if not 0.0 <= persistence <= 1.0:
@@ -170,10 +185,13 @@ def battery_step(battery: int, harvested: int, consumed: int, cap: int) -> int:
     return min(int(cap), int(battery) + int(harvested) - int(consumed))
 
 
-def _draw(row: np.ndarray, rng: np.random.Generator) -> int:
-    cum = np.cumsum(row)
-    idx = int(np.searchsorted(cum, rng.random(), side="right"))
-    return min(idx, len(row) - 1)
+def _draw(cumulative: tuple[float, ...], rng: np.random.Generator) -> int:
+    """Next state from one row's running sums: the first sum above a uniform draw.
+
+    A row whose sum ends just below 1 can leave the draw above every sum;
+    that draw goes to the last state.
+    """
+    return min(bisect.bisect_right(cumulative, rng.random()), len(cumulative) - 1)
 
 
 def sample_step(
@@ -197,7 +215,7 @@ def sample_step(
         for i in range(env.n_nodes)
     )
     harvest_idx = tuple(
-        _draw(env.harvest[i].transition[state.harvest_idx[i]], rng)
+        _draw(env.harvest[i].cumulative[state.harvest_idx[i]], rng)
         for i in range(env.n_nodes)
     )
     if env.backlogged:
@@ -205,7 +223,7 @@ def sample_step(
     else:
         arrival_idx = tuple(
             tuple(
-                _draw(chain.transition[state.arrival_idx[i][k]], rng)
+                _draw(chain.cumulative[state.arrival_idx[i][k]], rng)
                 for k, chain in enumerate(env.arrivals[i])
             )
             for i in range(env.n_nodes)

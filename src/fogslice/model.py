@@ -7,8 +7,9 @@ Response times are seconds, arrival and service rates are requests/second.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+import functools
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,6 +96,18 @@ class FogNodeSpec:
             raise ValueError("rate_factor must be finite and > 0")
 
 
+class NetworkArrays(NamedTuple):
+    """A network's fixed per-node and per-service figures as read-only arrays."""
+
+    unit_energy: np.ndarray  # (n, 1) energy units per activated processing unit
+    unit_rates: np.ndarray  # (n, K) rate of one activated unit, requests/s
+    max_units: np.ndarray  # (n, 1)
+    forward: np.ndarray  # (n, n) bool: sender i may place workload on m (m == i or a neighbor)
+    closed: np.ndarray  # (K, n, n) bool: forwarding edges whose round trip alone meets the deadline
+    deadlines: np.ndarray  # (K, 1)
+    rewards: np.ndarray  # (K,)
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Services, nodes and the forwarding graph they may use.
@@ -135,12 +148,29 @@ class NetworkSpec:
     def n_services(self) -> int:
         return len(self.services)
 
-    def unit_rates(self) -> np.ndarray:
-        """Per-node, per-service rate of one activated unit (n x K)."""
-        w = np.array(
-            [[s.unit_rate * nd.rate_factor for s in self.services] for nd in self.nodes]
+    @functools.cached_property
+    def arrays(self) -> NetworkArrays:
+        """The fixed figures the validator reads, built once per network."""
+        n = self.n_nodes
+        forward = np.eye(n, dtype=bool)
+        for i, nbrs in enumerate(self.neighbors):
+            forward[i, list(nbrs)] = True
+        deadlines = np.array([[s.deadline] for s in self.services])
+        arrays = NetworkArrays(
+            unit_energy=np.array([[nd.unit_energy] for nd in self.nodes]),
+            unit_rates=np.array(
+                [[s.unit_rate * nd.rate_factor for s in self.services] for nd in self.nodes]
+            ),
+            max_units=np.array([[nd.max_units] for nd in self.nodes]),
+            forward=forward,
+            # the zero diagonal never meets a deadline, which is > 0
+            closed=forward & (self.rtt >= deadlines[:, :, None]),
+            deadlines=deadlines,
+            rewards=np.array([s.reward for s in self.services]),
         )
-        return w
+        for arr in arrays:
+            arr.setflags(write=False)
+        return arrays
 
 
 @dataclass(frozen=True)
@@ -231,14 +261,13 @@ class Violation:
 
 def activated_units(network: NetworkSpec, energy: np.ndarray) -> np.ndarray:
     """Whole processing units activated by each energy commitment (n x K)."""
-    unit_energy = np.array([nd.unit_energy for nd in network.nodes])
-    return np.asarray(energy) // unit_energy[:, None]
+    return np.asarray(energy) // network.arrays.unit_energy
 
 
 def capacities(network: NetworkSpec, energy: np.ndarray) -> np.ndarray:
     """Service capacity w * p per node per service (n x K), requests/s."""
-    unit_energy = np.array([nd.unit_energy for nd in network.nodes])
-    return queueing.capacity(network.unit_rates(), np.asarray(energy), unit_energy[:, None])
+    arrays = network.arrays
+    return queueing.capacity(arrays.unit_rates, np.asarray(energy), arrays.unit_energy)
 
 
 def validate_agreement(
@@ -255,6 +284,12 @@ def validate_agreement(
     and the per-slice unit cap, every response time within its service
     deadline, and recorded rewards consistent with the offloaded workload.
     Shape errors raise DimensionMismatch instead of being reported.
+
+    Each check is one array verdict over all nodes and services, and
+    violations are built only from flagged entries, in this order: energy
+    by node; per service, offload rows by sender, then capacity by
+    destination; deadlines by service and sender; rewards by node and
+    service.
     """
     n, k = network.n_nodes, network.n_services
     if agreement.energy.shape != (n, k):
@@ -276,76 +311,90 @@ def validate_agreement(
             return violations
         energy = np.asarray(energy).astype(int)
 
+    arrays = network.arrays
     units = activated_units(network, energy)
     caps = capacities(network, energy)
+    offload, arrivals = agreement.offload, state.arrivals
+    loads = np.empty((k, n))
+    responses = np.empty((k, n))
+    for s in range(k):
+        alpha, lam = offload[s], arrivals[:, s]
+        loads[s] = alpha.T @ lam  # aggregate inbound per destination
+        responses[s] = queueing.response_times(alpha, lam, caps[:, s], network.rtt)
+    row_sums = offload.sum(axis=2)  # (K, n)
 
-    for i, node in enumerate(network.nodes):
-        if np.any(energy[i] < 0):
+    # (n,) and (n, K) verdicts on the committed energy
+    negative_energy = (energy < 0).any(axis=1)
+    used = energy.sum(axis=1)
+    over_battery = used > state.battery + TOL
+    over_units = units > arrays.max_units
+    # (K, n) and (K, n, n) verdicts on the offload rows; a request forwarded
+    # over an edge whose round trip alone meets the deadline is late however
+    # small its share of the mix
+    negative_share = (offload < -TOL).any(axis=2)
+    stray = (np.abs(offload) > TOL) & ~arrays.forward
+    closed = (offload > TOL) & arrays.closed
+    over_one = row_sums > 1.0 + TOL
+    over_capacity = loads > caps.T + TOL
+    # senders placing any workload whose response is unstable or late
+    in_time = np.isfinite(responses) & (responses <= arrays.deadlines + TOL)
+    late = ~(row_sums <= TOL) & ~in_time
+    expected = arrays.rewards * (row_sums.T * arrivals)
+    mismatched = np.abs(expected - agreement.rewards) > 1e-6
+    bad_node = negative_energy | over_battery | over_units.any(axis=1)
+    bad_row = negative_share | stray.any(axis=2) | closed.any(axis=2) | over_one
+    if not (bad_node.any() or (bad_row | over_capacity | late).any() or mismatched.any()):
+        return violations
+
+    for i in np.flatnonzero(bad_node).tolist():
+        if negative_energy[i]:
             s = int(np.argmin(energy[i]))
             violations.append(Violation("energy_budget", i, s, f"e={energy[i, s]} < 0"))
-        used = int(energy[i].sum())
-        if used > state.battery[i] + TOL:
+        if over_battery[i]:
+            detail = f"committed {int(used[i])} > battery {state.battery[i]}"
+            violations.append(Violation("energy_budget", i, None, detail))
+        for s in np.flatnonzero(over_units[i]).tolist():
             violations.append(
-                Violation("energy_budget", i, None, f"committed {used} > battery {state.battery[i]}")
+                Violation(
+                    "unit_cap", i, s, f"{units[i, s]} units > max {network.nodes[i].max_units}"
+                )
             )
-        for s in range(k):
-            if units[i, s] > node.max_units:
-                violations.append(
-                    Violation("unit_cap", i, s, f"{units[i, s]} units > max {node.max_units}")
-                )
 
     for s in range(k):
-        alpha = agreement.offload[s]
-        lam = state.arrivals[:, s]
-        theta = network.services[s].deadline
-        for i in range(n):
-            row = alpha[i]
-            if np.any(row < -TOL):
+        for i in np.flatnonzero(bad_row[s]).tolist():
+            if negative_share[s, i]:
                 violations.append(Violation("allocation", i, s, "negative offload fraction"))
-            allowed = network.neighbors[i] | {i}
-            stray = [m for m in range(n) if m not in allowed and abs(row[m]) > TOL]
-            if stray:
+            stray_to = np.flatnonzero(stray[s, i]).tolist()
+            if stray_to:
+                detail = f"offload outside forwarding graph: {stray_to}"
+                violations.append(Violation("allocation", i, s, detail))
+            closed_to = np.flatnonzero(closed[s, i]).tolist()
+            if closed_to:
+                detail = f"offload over edges with rtt >= deadline: {closed_to}"
+                violations.append(Violation("allocation", i, s, detail))
+            if over_one[s, i]:
                 violations.append(
-                    Violation("allocation", i, s, f"offload outside forwarding graph: {stray}")
+                    Violation("allocation", i, s, f"row sum {row_sums[s, i]:.6f} > 1")
                 )
-            # A request forwarded over an edge whose round trip alone meets the
-            # deadline is late however small its share of the mix.
-            closed = [
-                m for m in sorted(allowed - {i}) if row[m] > TOL and network.rtt[i, m] >= theta
-            ]
-            if closed:
-                violations.append(
-                    Violation("allocation", i, s, f"offload over edges with rtt >= deadline: {closed}")
+        for m in np.flatnonzero(over_capacity[s]).tolist():
+            violations.append(
+                Violation(
+                    "capacity", m, s, f"load {loads[s, m]:.6f} > capacity {caps[m, s]:.6f}"
                 )
-            if row.sum() > 1.0 + TOL:
-                violations.append(Violation("allocation", i, s, f"row sum {row.sum():.6f} > 1"))
-        load = alpha.T @ lam  # aggregate inbound per destination
-        for m in range(n):
-            if load[m] > caps[m, s] + TOL:
-                violations.append(
-                    Violation("capacity", m, s, f"load {load[m]:.6f} > capacity {caps[m, s]:.6f}")
-                )
+            )
 
     for s in range(k):
-        alpha = agreement.offload[s]
         theta = network.services[s].deadline
-        pis = queueing.response_times(alpha, state.arrivals[:, s], caps[:, s], network.rtt)
-        for i in range(n):
-            if alpha[i].sum() <= TOL:
-                continue
-            if not np.isfinite(pis[i]):
+        for i in np.flatnonzero(late[s]).tolist():
+            pi = responses[s, i]
+            if not np.isfinite(pi):
                 violations.append(Violation("deadline", i, s, "unstable destination"))
-            elif pis[i] > theta + TOL:
+            else:
                 violations.append(
-                    Violation("deadline", i, s, f"response {pis[i]:.6f} s > deadline {theta:.6f} s")
+                    Violation("deadline", i, s, f"response {pi:.6f} s > deadline {theta:.6f} s")
                 )
 
-    expected = np.zeros((n, k))
-    for s in range(k):
-        served = agreement.offload[s].sum(axis=1) * state.arrivals[:, s]
-        expected[:, s] = network.services[s].reward * served
-    mismatched = np.argwhere(np.abs(expected - agreement.rewards) > 1e-6)
-    for i, s in mismatched:
+    for i, s in np.argwhere(mismatched):
         violations.append(
             Violation(
                 "reward_mismatch",

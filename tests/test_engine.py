@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 from fogslice import cli, engine
-from fogslice.belief import type_profile_rewards
+from fogslice.belief import FinitePomdp, select_action, type_profile_rewards
 from fogslice.engine import (
     DEFAULT_SERVICES,
     ConfigError,
@@ -205,6 +205,24 @@ class TestBuildConfig:
             (lambda c: c["topology"].update(radius=0), "topology.radius: must be > 0"),
             (lambda c: c["topology"].update(rule="knearest", k=-1), "topology.k: must be >= 0"),
             (lambda c: c.update(nodes={"count": 0}), "nodes.count: must be >= 1"),
+            # a negative radius reflects the layout, zero stacks every node
+            (
+                lambda c: c.update(nodes={"count": 3, "radius": -100, "seed": 1}),
+                "nodes.radius: must be > 0, got -100.0",
+            ),
+            (
+                lambda c: c.update(nodes={"count": 3, "radius": 0, "seed": 1}),
+                "nodes.radius: must be > 0, got 0.0",
+            ),
+            # a radius that keeps no edge would play radius_coop as no_coop
+            (
+                lambda c: c["policy"].update(radius=-5),
+                "policy.radius: must be > 0, got -5.0",
+            ),
+            (
+                lambda c: c["policy"].update(radius=0.0),
+                "policy.radius: must be > 0, got 0.0",
+            ),
             (
                 lambda c: c.update(nodes={"count": 3, "profile": "foo"}),
                 "nodes.profile: must be one of ('urban', 'uniform'), got 'foo'",
@@ -613,6 +631,70 @@ class TestAgentMind:
         monkeypatch.setattr(engine.belief_mod, "enumerate_profiles", no_profiles)
         with pytest.raises(ConfigError, match=r"8 states x 1 actions x 9 neighbor-type profiles"):
             engine._AgentMind(cfg, 0)
+
+def fresh_action(mind, own):
+    """The action a new model under the mind's current counts selects in ``own``."""
+    s_n, a_n = len(mind.states), len(mind.actions)
+    model = FinitePomdp(
+        states=tuple(mind.states),
+        actions=tuple(mind.actions),
+        observations=tuple(mind.states),
+        transition=mind._transition,
+        observation=np.broadcast_to(np.eye(s_n), (a_n, s_n, s_n)),
+        reward=type_profile_rewards(mind._reward_profiles, mind._profiles, mind.counts),
+        gamma=mind.gamma,
+    )
+    point = np.zeros(s_n)
+    point[mind.index[own]] = 1.0
+    return select_action(model, point, mind.depth, action_costs=[-w for w in mind.actions])
+
+
+class TestDecisionMemo:
+    """``choose_budget`` remembers its actions only while the counts hold."""
+
+    def run_checked(self, raw, monkeypatch):
+        """Run an episode, re-planning every remembered action after each choice.
+
+        Returns the memo's size after each call.
+        """
+        original = engine._AgentMind.choose_budget
+        sizes = []
+
+        def checked(mind, state):
+            budget = original(mind, state)
+            i = mind.i
+            own = (
+                int(state.battery[i]),
+                int(state.harvest_idx[i]),
+                tuple(int(x) for x in state.arrival_idx[i]),
+            )
+            assert budget == max(own[0] - mind.actions[fresh_action(mind, own)], 0)
+            # every entry was planned under the counts the mind holds now
+            assert mind._planned_for == mind.counts.tobytes()
+            for seen, action in mind._decisions.items():
+                assert action == fresh_action(mind, seen)
+            sizes.append(len(mind._decisions))
+            return budget
+
+        monkeypatch.setattr(engine._AgentMind, "choose_budget", checked)
+        run_episode(raw)
+        return sizes
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scarcity_reuses_plans(self, seed, monkeypatch):
+        sizes = self.run_checked(scarcity_config(seed, "bpomdp"), monkeypatch)
+        assert len(sizes) == 100
+        # no helpers: the counts never change, so states met again hit the memo
+        assert sizes == sorted(sizes) and sizes[-1] < len(sizes)
+
+    def test_helpers_replan_every_slot(self, monkeypatch):
+        raw = chained_mind_config()
+        raw["slots"] = 12
+        sizes = self.run_checked(raw, monkeypatch)
+        assert len(sizes) == 3 * 12
+        # helpers move the counts each slot, which drops the memo
+        assert sizes == [1] * len(sizes)
+
 
 def repeating_components_config(slots=30):
     """A three-node chain and two far loners, two services.

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fogslice.env import (
     CausalityViolation,
@@ -11,6 +14,7 @@ from fogslice.env import (
     battery_step,
     bursty_arrivals,
     sample_step,
+    _draw,
     uniform_harvest,
 )
 
@@ -71,6 +75,12 @@ class TestChains:
         assert list(chain.levels) == [0, 1, 2, 3, 4]
         assert np.allclose(chain.transition, 0.2)
 
+    def test_factories_share_one_chain_per_parameter_set(self):
+        assert uniform_harvest(3) is uniform_harvest(3)
+        assert bursty_arrivals(2.0, 20.0, 0.7) is bursty_arrivals(2.0, 20.0, 0.7)
+        assert MarkovChainSpec.constant(5.0) is MarkovChainSpec.constant(5.0)
+        assert uniform_harvest(3) is not uniform_harvest(4)
+
     def test_bursty_preset_persists(self):
         chain = bursty_arrivals(10.0, 50.0, 0.8)
         assert list(chain.levels) == [10.0, 50.0]
@@ -91,6 +101,64 @@ class TestBatteryStep:
 
     def test_spend_everything(self):
         assert battery_step(10, 0, 10, 100) == 0
+
+
+class FixedDraw:
+    """A generator stand-in whose ``random()`` returns one chosen value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+# rows whose running sum ends just below 1.0: ten tenths sum to 0.9999999999999999
+SHORT_ROWS = [[0.1] * 10, [0.7, 0.2, 0.1], [1 / 3, 1 / 3, 1 / 3]]
+
+
+@st.composite
+def draw_cases(draw):
+    """A stochastic row and a draw in [0, 1), often just below 1 or at a running sum."""
+    row = draw(st.sampled_from(SHORT_ROWS)) if draw(st.booleans()) else None
+    if row is None:
+        raw = draw(hnp.arrays(float, st.integers(1, 6), elements=st.floats(0.0, 1.0)))
+        if raw.sum() == 0.0:
+            raw[-1] = 1.0
+        row = list(raw / raw.sum())
+    cum = np.cumsum(row)
+    u = draw(
+        st.one_of(
+            st.floats(0.0, 1.0, exclude_max=True),
+            st.just(float(np.nextafter(1.0, 0.0))),
+            st.sampled_from([float(c) for c in cum if c < 1.0] or [0.0]),
+        )
+    )
+    return row, u
+
+
+class TestDraw:
+    @settings(max_examples=400, deadline=None)
+    @given(draw_cases())
+    def test_bisection_matches_searchsorted(self, case):
+        row, u = case
+        n = len(row)
+        chain = MarkovChainSpec(levels=tuple(range(n)), transition=np.array([row] * n))
+        expect = min(int(np.searchsorted(np.cumsum(row), u, side="right")), n - 1)
+        assert _draw(chain.cumulative[0], FixedDraw(u)) == expect
+
+    def test_short_row_clamps_to_the_last_state(self):
+        chain = MarkovChainSpec(levels=tuple(range(10)), transition=np.full((10, 10), 0.1))
+        u = float(np.nextafter(1.0, 0.0))
+        assert chain.cumulative[0][-1] <= u  # no running sum lies above the draw
+        assert _draw(chain.cumulative[3], FixedDraw(u)) == 9
+
+    def test_cumulative_rows_are_python_floats_of_cumsum(self):
+        transition = np.array([[0.85, 0.15, 0.0], [0.2, 0.6, 0.2], [0.05, 0.35, 0.6]])
+        chain = MarkovChainSpec(levels=(0.0, 1.0, 2.0), transition=transition)
+        for row, cum in zip(transition, chain.cumulative):
+            assert all(type(c) is float for c in cum)
+            assert np.array(cum).tobytes() == np.cumsum(row).tobytes()
 
 
 class TestSampleStep:

@@ -6,13 +6,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fogslice import queueing
 from fogslice.game import GameInstance
 from fogslice.model import (
+    TOL,
     DimensionMismatch,
     FogNodeSpec,
+    NetworkSpec,
     ServiceTypeSpec,
     SlicingAgreement,
     SlotState,
+    Violation,
     activated_units,
     capacities,
     validate_agreement,
@@ -104,6 +108,238 @@ class TestSharedAdmissionRule:
         verdicts = validate_agreement(net, state, agreement)
         assert {v.kind for v in verdicts} <= {"deadline"}
         assert {v.node for v in verdicts} == late
+
+
+def reference_validate(network, state, agreement):
+    """The validator as one loop per node and service, each check written out in turn."""
+    n, k = network.n_nodes, network.n_services
+    violations = []
+    energy = agreement.energy
+    if not np.issubdtype(np.asarray(energy).dtype, np.integer):
+        if np.any(np.asarray(energy) != np.floor(energy)):
+            bad = np.argwhere(np.asarray(energy) != np.floor(energy))
+            for i, s in bad:
+                violations.append(
+                    Violation("integer_energy", int(i), int(s), f"e={energy[i, s]!r}")
+                )
+            return violations
+        energy = np.asarray(energy).astype(int)
+
+    unit_energy = np.array([nd.unit_energy for nd in network.nodes])
+    units = energy // unit_energy[:, None]
+    w = np.array([[s.unit_rate * nd.rate_factor for s in network.services] for nd in network.nodes])
+    caps = queueing.capacity(w, energy, unit_energy[:, None])
+
+    for i, node in enumerate(network.nodes):
+        if np.any(energy[i] < 0):
+            s = int(np.argmin(energy[i]))
+            violations.append(Violation("energy_budget", i, s, f"e={energy[i, s]} < 0"))
+        used = int(energy[i].sum())
+        if used > state.battery[i] + TOL:
+            violations.append(
+                Violation("energy_budget", i, None, f"committed {used} > battery {state.battery[i]}")
+            )
+        for s in range(k):
+            if units[i, s] > node.max_units:
+                violations.append(
+                    Violation("unit_cap", i, s, f"{units[i, s]} units > max {node.max_units}")
+                )
+
+    for s in range(k):
+        alpha = agreement.offload[s]
+        lam = state.arrivals[:, s]
+        theta = network.services[s].deadline
+        for i in range(n):
+            row = alpha[i]
+            if np.any(row < -TOL):
+                violations.append(Violation("allocation", i, s, "negative offload fraction"))
+            allowed = network.neighbors[i] | {i}
+            stray = [m for m in range(n) if m not in allowed and abs(row[m]) > TOL]
+            if stray:
+                violations.append(
+                    Violation("allocation", i, s, f"offload outside forwarding graph: {stray}")
+                )
+            closed = [
+                m for m in sorted(allowed - {i}) if row[m] > TOL and network.rtt[i, m] >= theta
+            ]
+            if closed:
+                violations.append(
+                    Violation("allocation", i, s, f"offload over edges with rtt >= deadline: {closed}")
+                )
+            if row.sum() > 1.0 + TOL:
+                violations.append(Violation("allocation", i, s, f"row sum {row.sum():.6f} > 1"))
+        load = alpha.T @ lam
+        for m in range(n):
+            if load[m] > caps[m, s] + TOL:
+                violations.append(
+                    Violation("capacity", m, s, f"load {load[m]:.6f} > capacity {caps[m, s]:.6f}")
+                )
+
+    for s in range(k):
+        alpha = agreement.offload[s]
+        theta = network.services[s].deadline
+        pis = queueing.response_times(alpha, state.arrivals[:, s], caps[:, s], network.rtt)
+        for i in range(n):
+            if alpha[i].sum() <= TOL:
+                continue
+            if not np.isfinite(pis[i]):
+                violations.append(Violation("deadline", i, s, "unstable destination"))
+            elif pis[i] > theta + TOL:
+                violations.append(
+                    Violation("deadline", i, s, f"response {pis[i]:.6f} s > deadline {theta:.6f} s")
+                )
+
+    expected = np.zeros((n, k))
+    for s in range(k):
+        served = agreement.offload[s].sum(axis=1) * state.arrivals[:, s]
+        expected[:, s] = network.services[s].reward * served
+    mismatched = np.argwhere(np.abs(expected - agreement.rewards) > 1e-6)
+    for i, s in mismatched:
+        violations.append(
+            Violation(
+                "reward_mismatch",
+                int(i),
+                int(s),
+                f"recorded {agreement.rewards[i, s]:.8f} != earned {expected[i, s]:.8f}",
+            )
+        )
+    return violations
+
+
+# each mutation breaks one check; the kind of violation it must raise
+MUTATIONS = {
+    "none": None,
+    "integer_energy": "integer_energy",
+    "negative_energy": "energy_budget",
+    "budget": "energy_budget",
+    "unit_cap": "unit_cap",
+    "negative_share": "allocation",
+    "stray": "allocation",
+    "closed": "allocation",
+    "over_one": "allocation",
+    "capacity": "capacity",
+    "late": "deadline",
+    "unstable": "deadline",
+    "rewards": "reward_mismatch",
+}
+
+
+@st.composite
+def validator_cases(draw):
+    """A network of 1-5 nodes and 1-3 services, a slot and an agreement, maybe broken.
+
+    The agreement starts valid up to the deadline check: rows on open edges,
+    summing to at most one, loads within capacity and consistent rewards.
+    Then one mutation from ``MUTATIONS`` breaks one check.
+    """
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    services = tuple(
+        make_service(
+            deadline=draw(st.sampled_from([0.05, 0.1, 0.2])),
+            reward=draw(st.sampled_from([0.5, 1.0, 4.0])),
+            unit_rate=draw(st.floats(5.0, 40.0)),
+            name=f"s{s}",
+        )
+        for s in range(k)
+    )
+    nodes = tuple(
+        make_node(
+            max_units=draw(st.integers(1, 4)),
+            unit_energy=draw(st.integers(1, 2)),
+            rate_factor=draw(st.sampled_from([1.0, 1.5])),
+        )
+        for _ in range(n)
+    )
+    links = draw(hnp.arrays(bool, (n, n)))
+    neighbors = tuple(frozenset(m for m in range(n) if links[i, m] and m != i) for i in range(n))
+    rtt = draw(hnp.arrays(float, (n, n), elements=st.sampled_from([0.01, 0.03, 0.06, 0.12, 0.25])))
+    np.fill_diagonal(rtt, 0.0)
+    net = NetworkSpec(services=services, nodes=nodes, neighbors=neighbors, rtt=rtt)
+    energy = draw(hnp.arrays(int, (n, k), elements=st.integers(0, 6)))
+    arrivals = draw(hnp.arrays(float, (n, k), elements=st.floats(0.0, 60.0)))
+    offload = np.zeros((k, n, n))
+    game = GameInstance(network=net, arrivals=arrivals, budgets=energy.sum(axis=1))
+    for s in range(k):
+        inst = game.slice_for(s, energy[:, s])
+        alpha = draw(hnp.arrays(float, (n, n), elements=st.floats(0.0, 1.0))) * inst.allowed()
+        alpha /= np.maximum(alpha.sum(axis=1, keepdims=True), 1.0)
+        loads, caps = alpha.T @ arrivals[:, s], inst.capacities()
+        over = loads > caps
+        alpha[:, over] *= caps[over] / loads[over] * (1.0 - 1e-9)
+        offload[s] = alpha
+
+    mutation = draw(st.sampled_from(sorted(MUTATIONS)))
+    i, s, m = draw(st.integers(0, n - 1)), draw(st.integers(0, k - 1)), draw(st.integers(0, n - 1))
+    node = nodes[i]
+    if mutation == "negative_energy":
+        energy[i, s] = -1
+    elif mutation == "unit_cap":
+        energy[i, s] = (node.max_units + 1) * node.unit_energy
+    elif mutation == "negative_share":
+        offload[s, i, m] = -0.25
+    elif mutation == "stray":
+        targets = [j for j in range(n) if j != i and j not in neighbors[i]]
+        assume(targets)
+        offload[s, i, draw(st.sampled_from(targets))] = 0.3
+    elif mutation == "closed":
+        targets = [j for j in sorted(neighbors[i]) if rtt[i, j] >= services[s].deadline]
+        assume(targets)
+        offload[s, i, draw(st.sampled_from(targets))] = 0.3
+    elif mutation == "over_one":
+        offload[s, i, i] += 1.2
+    elif mutation in ("capacity", "late", "unstable"):
+        # node i alone on its own queue of one unit: over, just under or at capacity
+        energy[i, s] = node.unit_energy
+        cap = services[s].unit_rate * node.rate_factor
+        offload[s, :, i] = 0.0
+        offload[s, i, :] = 0.0
+        offload[s, i, i] = 1.0
+        arrivals[i, s] = {"capacity": cap + 5.0, "late": cap - 0.5, "unstable": cap}[mutation]
+        if mutation == "unstable" and m != i:
+            # a share just above the tolerance still makes node m a sender there
+            offload[s, m, :] = 0.0
+            offload[s, m, i] = 5e-9
+    slack = draw(hnp.arrays(int, n, elements=st.integers(0, 3)))
+    battery = np.maximum(energy.sum(axis=1), 0) + slack
+    if mutation == "budget":
+        energy[i, s] += 1
+        battery[i] = energy[i].sum() - 1
+    rewards = np.array([svc.reward for svc in services]) * (offload.sum(axis=2).T * arrivals)
+    if mutation == "rewards":
+        rewards[i, s] += 1.0
+    if mutation == "integer_energy":
+        energy = energy.astype(float)
+        energy[i, s] += 0.5
+    elif draw(st.booleans()):
+        energy = energy.astype(float)  # whole numbers in a float array
+    state = SlotState(
+        battery=battery.astype(draw(st.sampled_from([int, float]))),
+        arrivals=arrivals,
+        harvested_prev=np.zeros(n, dtype=int),
+    )
+    agreement = SlicingAgreement(energy=energy, offload=offload, rewards=rewards)
+    return net, state, agreement, MUTATIONS[mutation]
+
+
+class TestWholeArrayValidator:
+    @settings(max_examples=600, deadline=None)
+    @given(validator_cases())
+    def test_matches_the_loop_validator(self, case):
+        net, state, agreement, kind = case
+        expect = [str(v) for v in reference_validate(net, state, agreement)]
+        assert [str(v) for v in validate_agreement(net, state, agreement)] == expect
+        if kind is not None:
+            assert any(line.startswith(f"[{kind}]") for line in expect)
+
+    def test_network_arrays_are_cached_and_read_only(self):
+        services = (make_service(deadline=0.05), make_service(deadline=0.1))
+        net = make_network(services=services, neighbors=(frozenset({1}), frozenset()), tau=0.06)
+        arrays = net.arrays
+        assert net.arrays is arrays
+        assert all(not arr.flags.writeable for arr in arrays)
+        assert arrays.forward.tolist() == [[True, True], [False, True]]
+        # the 60 ms round trip closes the edge for the 50 ms service only
+        assert arrays.closed.tolist() == [[[False, True], [False, False]], [[False, False]] * 2]
 
 
 class TestSpecTypes:
