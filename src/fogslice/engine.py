@@ -673,6 +673,7 @@ def run_episode(config: dict | ExperimentConfig) -> EpisodeResult:
     solved: dict[tuple[int, bytes, bytes], WelfareSolution] = {}
     for t in range(cfg.slots):
         arrivals = cfg.env.arrival_rates(state)
+        arrivals.setflags(write=False)  # games, slot state and record share it uncopied
         harvested = cfg.env.harvest_amounts(state)
         battery = np.array(state.battery, dtype=int)
         if minds is not None:
@@ -696,11 +697,13 @@ def run_episode(config: dict | ExperimentConfig) -> EpisodeResult:
             offload[block] = sol.agreement.offload
             welfare += sol.welfare
             statuses.append(sol.status)
+        slot_battery, slot_harvested = battery.astype(float), harvested.astype(float)
+        # read-only once filled, so the agreement and the slot state keep them uncopied
+        for a in (energy, offload, rewards, slot_battery, slot_harvested):
+            a.setflags(write=False)
         agreement = SlicingAgreement(energy=energy, offload=offload, rewards=rewards)
         slot_state = SlotState(
-            battery=battery.astype(float),
-            arrivals=arrivals,
-            harvested_prev=harvested.astype(float),
+            battery=slot_battery, arrivals=arrivals, harvested_prev=slot_harvested
         )
         violations = validate_agreement(net, slot_state, agreement)
         if violations:

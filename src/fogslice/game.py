@@ -483,6 +483,10 @@ class _SliceWork:
         self.theta = instance.service.deadline
         self.senders = [i for i in range(self.n) if self.lam[i] > 0]
         self.is_sender = self.lam > 0
+        # a usable pair: a sender and an allowed destination with capacity;
+        # a sender without one (not a mover) can never place any load
+        self.usable = self.allowed & (self.caps > RESIDUAL_FLOOR) & self.is_sender[:, None]
+        self.movers = [i for i in self.senders if self.usable[i].any()]
         # bisection levels checked per stacked call: a small slice's check
         # costs mostly its call, a large one's its n x n arithmetic
         self.depth = 4 if self.n <= 8 else 1
@@ -662,10 +666,18 @@ def _polish_priority(work: _SliceWork, alpha: np.ndarray):
 
 
 def _ascent(work: _SliceWork, alpha: np.ndarray) -> int:
-    """Row updates until a full pass stops improving; returns passes used."""
+    """Row updates until a full pass stops improving; returns passes used.
+
+    Only movers are updated.  Every other sender's row stays zero, and its
+    update would leave the bytes of alpha as they are: no load reaches a
+    destination without capacity, so each of its allowed destinations has
+    free capacity at most ``RESIDUAL_FLOOR``, its box is 0 there, the
+    water-fill returns the zero row, and a back-off along that zero delta
+    restores the old row.
+    """
     prev = work.welfare(alpha)
     for passes in range(1, ASCENT_PASSES + 1):
-        for i in work.senders:
+        for i in work.movers:
             _update_row(work, alpha, i)
         current = work.welfare(alpha)
         if current - prev <= ASCENT_TOL * max(1.0, abs(current)):
@@ -722,18 +734,16 @@ def _swap_pass(work: _SliceWork, alpha: np.ndarray) -> bool:
 def _joint_constraints(work: _SliceWork):
     """The joint NLP's variables x = alpha[rows, cols] and its constraints.
 
-    x covers the allowed (sender, destination) pairs whose destination has
-    capacity.  ``ineq(x)`` stacks every inequality in one vector: each
-    destination's capacity (in ``set`` order), then each sender's row total
-    and deadline.  ``ineq_jac(x)`` is its exact Jacobian, rows in the same
+    x covers the usable pairs (``_SliceWork.usable``).  ``ineq(x)`` stacks
+    every inequality in one vector: each destination's capacity (in ``set``
+    order), then each sender's row total and deadline.  ``ineq_jac(x)`` is its exact Jacobian, rows in the same
     order.  The capacity and row-total rows are constant (-lam_j on each
     entry (j, m), -1 on each entry (i, .)).  The deadline row of sender i
     has, on entry p = (j, m), -[j == i](tau_im + 1/r_m) - a_im lam_j / r_m^2
     with r_m = c_m - sum_j a_jm lam_j; where ``ineq`` clamps r_m at 1e-9
     the second term is 0, so the Jacobian is that of the clamped function.
     """
-    usable = work.allowed & (work.caps > RESIDUAL_FLOOR) & (work.lam > 0)[:, None]
-    rows, cols = np.nonzero(usable)
+    rows, cols = np.nonzero(work.usable)
     cap_terms = [
         (work.caps[m] - RESIDUAL_FLOOR, work.lam[rows[cols == m]], np.flatnonzero(cols == m))
         for m in set(cols.tolist())
@@ -849,9 +859,20 @@ def solve_offload(instance: SliceInstance) -> OffloadSolution:
     Each distinct alpha's loads, responses and verdict are computed once
     (``_SliceWork.state``): a row the water-fill leaves unchanged is checked
     for free, and a swap pass recomputes responses only after a swap.
+
+    Only usable pairs (``_SliceWork.usable``: a sender and an allowed
+    destination with capacity above ``RESIDUAL_FLOOR``) can carry load.  A
+    dead slice, with no usable pair, runs no stage: it returns the zero
+    alpha with 0 passes, converged.  A dead sender, with no usable pair of
+    its own, is skipped by the ascent, whose update could not move its row.
     """
     work = _SliceWork(instance)
     alpha = np.zeros((work.n, work.n))
+    if not work.movers:
+        # no usable pair: no stage can place any load
+        return OffloadSolution(
+            alpha=alpha, welfare=instance.service.reward * work.welfare(alpha), passes=0, converged=True
+        )
     passes = 0
     converged = False
     prev = -np.inf

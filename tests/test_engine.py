@@ -808,6 +808,31 @@ class TestSolveReuse:
             run_episode(raw)
 
 
+class TestSlotArrays:
+    def test_agreement_and_state_hold_the_engine_arrays_uncopied(self, monkeypatch):
+        """Each slot's arrays are read-only once filled, so the agreement and
+        the slot state keep the engine's own arrays, the record's included."""
+        seen = []
+        validate = engine.validate_agreement
+
+        def recording(net, state, agreement):
+            seen.append((state, agreement))
+            return validate(net, state, agreement)
+
+        monkeypatch.setattr(engine, "validate_agreement", recording)
+        result = run_episode(starved_pair_config())
+        assert len(seen) == len(result.records)
+        for rec, (state, agreement) in zip(result.records, seen):
+            assert agreement.energy is rec.energy and agreement.rewards is rec.rewards
+            assert state.arrivals is rec.arrivals
+            assert np.array_equal(state.battery, rec.battery_before)
+            assert np.array_equal(state.harvested_prev, rec.harvested)
+            assert np.array_equal(agreement.offload.sum(axis=2).T * rec.arrivals, rec.offloaded)
+            for a in (agreement.energy, agreement.offload, agreement.rewards,
+                      state.battery, state.arrivals, state.harvested_prev):
+                assert not a.flags.writeable
+
+
 class TestReports:
     def test_identical_runs_write_identical_bytes(self, tmp_path):
         raw = base_engine_config()

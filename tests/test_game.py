@@ -12,7 +12,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize._numdiff import approx_derivative
 
-from fogslice import cli
+from fogslice import cli, game
 from fogslice.game import (
     FEAS_TOL,
     RESIDUAL_FLOOR,
@@ -35,6 +35,7 @@ from fogslice.game import (
     _SliceWork,
     _swap_pass,
     _trim_energy,
+    _update_row,
     _violations,
     _waterfill,
     check_core,
@@ -812,6 +813,108 @@ class TestSliceState:
         alpha[0, 0] = 0.4
         assert work.state(alpha) is not state
         assert state.alpha[0, 0] == 0.5  # the kept copy never sees the caller's change
+
+
+def dead_slices():
+    """Slices with senders but no usable pair, and one without senders."""
+    far = SliceInstance(
+        service=make_service(),
+        nodes=(make_node(), make_node()),
+        energy=np.array([0, 5]),
+        arrivals=np.array([30.0, 0.0]),
+        neighbors=(frozenset(), frozenset()),  # node 1 is not node 0's neighbour
+        rtt=np.array([[0.0, 0.02], [0.02, 0.0]]),
+    )
+    return {
+        "no energy": pair_slice([0, 0], [30.0, 20.0]),
+        "energy out of reach": far,
+        "edge closed by its round trip": pair_slice([0, 5], [30.0, 0.0], deadline=0.1, tau=0.1),
+        "no arrivals": pair_slice([5, 5], [0.0, 0.0]),
+    }
+
+
+def dead_sender_slice(rng, n):
+    """``mesh_slice`` with about half the nodes holding no energy, so that
+    some senders reach no destination with capacity."""
+    inst = mesh_slice(rng, n)
+    return SliceInstance(
+        service=inst.service,
+        nodes=inst.nodes,
+        energy=inst.energy * (rng.random(n) < 0.5),
+        arrivals=inst.arrivals,
+        neighbors=inst.neighbors,
+        rtt=inst.rtt,
+    )
+
+
+def reference_ascent(work, alpha):
+    """``_ascent`` updating every sender, those outside ``movers`` included."""
+    prev = work.welfare(alpha)
+    for passes in range(1, game.ASCENT_PASSES + 1):
+        for i in work.senders:
+            _update_row(work, alpha, i)
+        current = work.welfare(alpha)
+        if current - prev <= game.ASCENT_TOL * max(1.0, abs(current)):
+            return passes
+        prev = current
+    return game.ASCENT_PASSES
+
+
+class TestDeadPairs:
+    @pytest.mark.parametrize("name", list(dead_slices()))
+    def test_dead_slice_runs_no_stage(self, name, monkeypatch):
+        inst = dead_slices()[name]
+        work = _SliceWork(inst)
+        assert not work.usable.any() and not work.movers
+
+        def never(*args):
+            raise AssertionError("a stage ran on a dead slice")
+
+        for stage in ("_ascent", "_swap_pass", "_joint_refine", "_polish_priority"):
+            monkeypatch.setattr(game, stage, never)
+        sol = solve_offload(inst)
+        assert sol.alpha.tobytes() == np.zeros((2, 2)).tobytes()
+        assert sol.welfare == 0.0 and sol.passes == 0 and sol.converged
+
+    def test_usable_pairs_are_the_joint_variables(self):
+        work = _SliceWork(pair_slice([0, 5], [30.0, 20.0]))
+        assert work.usable.tolist() == [[False, True], [False, True]]
+        assert work.movers == [0, 1]
+        rows, cols, _, _ = _joint_constraints(work)
+        assert list(zip(rows.tolist(), cols.tolist())) == [(0, 1), (1, 1)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.floats(0.0, 2.0), st.booleans())
+    def test_dead_sender_update_changes_no_byte(self, seed, n, push, from_ascent):
+        """From the ascent's alpha or random mover rows, feasible or not."""
+        rng = np.random.default_rng(seed)
+        work = _SliceWork(dead_sender_slice(rng, n))
+        dead = [i for i in work.senders if i not in work.movers]
+        assume(dead)
+        alpha = np.zeros((n, n))
+        if from_ascent:
+            _ascent(work, alpha)
+        movers = np.isin(np.arange(n), work.movers)
+        alpha = alpha + push * rng.random((n, n)) * work.allowed * movers[:, None]
+        alpha[(alpha == 0) & movers[:, None] & (rng.random((n, n)) < 0.5)] = -0.0
+        event(f"feasible: {work.feasible(alpha)}")
+        for i in dead:
+            before = alpha.tobytes()
+            with np.errstate(over="ignore"):  # a tiny share's quotient may overflow to inf
+                _update_row(work, alpha, i)
+            assert alpha.tobytes() == before
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
+    def test_ascent_matches_a_loop_over_every_sender(self, seed, n):
+        rng = np.random.default_rng(seed)
+        inst = dead_sender_slice(rng, n)
+        work = _SliceWork(inst)
+        assume(work.senders)
+        event(f"dead senders: {len(work.senders) - len(work.movers)}")
+        alpha, ref = np.zeros((n, n)), np.zeros((n, n))
+        assert _ascent(work, alpha) == reference_ascent(_SliceWork(inst), ref)
+        assert alpha.tobytes() == ref.tobytes()
 
 
 def reference_last_feasible(feasible, hi, steps):

@@ -17,10 +17,16 @@ For each workload the script prints
 - the back-off searches (``game._last_feasible`` calls), by stage: their
   kernel calls, matrices checked and mids walked per search.  The mids
   walked are those of the bisection's own path, retraced here from its
-  result with the verdict ``mid <= lo``.
+  result with the verdict ``mid <= lo``;
+- the ``solve_offload`` calls, and how many of them were on a dead slice
+  (no usable pair, ``_SliceWork.movers`` empty), which returns at once;
+- the ``_update_row`` calls the ascent made, and how many of them were on
+  a dead sender (a sender outside ``_SliceWork.movers``).
 
 Functions are wrapped at run time; the program has no hook for this.  The
-script also runs in a checkout whose searches check one mid per call.
+script also runs in a checkout whose searches check one mid per call.  The
+dead slice and dead sender counts read ``_SliceWork.movers``; a checkout
+without it needs that property added before the run.
 
     PYTHONPATH=src python3 tools/solver_counts.py            # both workloads
     PYTHONPATH=src python3 tools/solver_counts.py urban80    # one of them
@@ -107,8 +113,9 @@ def walked(hi: float, steps: int, lo: float) -> int:
 
 def counted_run(run):
     """Run ``run()`` with the solver wrapped; returns the counters."""
-    calls, matrices, memo, searches = (collections.Counter() for _ in range(4))
+    calls, matrices, memo, searches, slices = (collections.Counter() for _ in range(5))
     last_feasible, response_times, state = game._last_feasible, game.response_times, game._SliceWork.state
+    solve_offload, update_row = game.solve_offload, game._update_row
 
     def evaluated(alpha, *args):
         site = _where()
@@ -132,19 +139,31 @@ def counted_run(run):
         searches[stage, "walked"] += walked(hi, steps, lo)
         return lo
 
+    def solved(instance):
+        slices["solves"] += 1
+        slices["dead slices"] += not game._SliceWork(instance).movers
+        return solve_offload(instance)
+
+    def updated(work, alpha, i):
+        slices["row updates"] += 1
+        slices["dead senders"] += i not in work.movers
+        return update_row(work, alpha, i)
+
     game._last_feasible, game.response_times, game._SliceWork.state = searched, evaluated, looked_up
+    game.solve_offload, game._update_row = solved, updated
     try:
         run()
     finally:
         game._last_feasible, game.response_times, game._SliceWork.state = last_feasible, response_times, state
-    return calls, matrices, memo, searches
+        game.solve_offload, game._update_row = solve_offload, update_row
+    return calls, matrices, memo, searches, slices
 
 
 def report(label, run) -> None:
     start = time.process_time()
     run()
     cpu = time.process_time() - start
-    calls, matrices, memo, searches = counted_run(run)
+    calls, matrices, memo, searches, slices = counted_run(run)
     print(f"{label}: {cpu:.2f} s CPU (unwrapped)")
     print(f"response_times calls: {sum(calls.values())}, matrices checked: {sum(matrices.values())}")
     for site, count in sorted(calls.items(), key=lambda kv: -kv[1]):
@@ -162,6 +181,8 @@ def report(label, run) -> None:
             f"  {stage}: {n} searches; per search {counts['calls'] / n:.1f} kernel calls, "
             f"{counts['matrices'] / n:.1f} matrices, {counts['walked'] / n:.1f} mids walked"
         )
+    print(f"solve_offload calls: {slices['solves']}, {slices['dead slices']} on dead slices (no usable pair)")
+    print(f"_update_row calls by the ascent: {slices['row updates']}, {slices['dead senders']} on dead senders")
 
 
 def main(argv: list[str]) -> int:
