@@ -216,7 +216,7 @@ JOINT_MAX_SENDERS = 8
 POLISH_MAX_NODES = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OffloadSolution:
     alpha: np.ndarray
     welfare: float
@@ -844,6 +844,24 @@ def _joint_refine(work: _SliceWork, alpha: np.ndarray) -> np.ndarray:
     return best.copy()
 
 
+def _cap_rows(alpha: np.ndarray) -> None:
+    """Shrink in place each row of ``alpha`` whose float sum is above 1.0 to a sum of at most 1.0.
+
+    Such a row is divided by its sum, then its largest entry steps down one
+    float at a time while the sum is still above 1.0.  No entry grows, so
+    loads and responses can only fall and a feasible alpha stays feasible.
+    Sums are taken as ``alpha.sum(axis=1)`` takes them; with every row at
+    most 1.0, float multiplication and pairwise addition being monotone,
+    ``sum(lam * alpha.sum(axis=1))`` is at most ``sum(lam)`` to the last bit.
+    """
+    rows = alpha.sum(axis=1)
+    for i in np.flatnonzero(rows > 1.0):
+        alpha[i] /= rows[i]
+        while alpha.sum(axis=1)[i] > 1.0:
+            j = alpha[i].argmax()
+            alpha[i, j] = np.nextafter(alpha[i, j], 0.0)
+
+
 def solve_offload(instance: SliceInstance) -> OffloadSolution:
     """Best offload fractions for one slice.
 
@@ -865,6 +883,12 @@ def solve_offload(instance: SliceInstance) -> OffloadSolution:
     dead slice, with no usable pair, runs no stage: it returns the zero
     alpha with 0 passes, converged.  A dead sender, with no usable pair of
     its own, is skipped by the ascent, whose update could not move its row.
+
+    No returned row sums above 1.0 in floats (``_cap_rows``): the stages
+    may leave a row above it, by up to ``FEAS_TOL`` after the NLP or by
+    ulps after a swap or the polish, and such a row is shrunk back.  So
+    the welfare is at most ``reward * sum(arrivals)``, full service, to the
+    last bit.
     """
     work = _SliceWork(instance)
     alpha = np.zeros((work.n, work.n))
@@ -894,6 +918,7 @@ def solve_offload(instance: SliceInstance) -> OffloadSolution:
     if work.n <= POLISH_MAX_NODES:
         _polish_priority(work, alpha)
     alpha[alpha < 1e-12] = 0.0
+    _cap_rows(alpha)
     return OffloadSolution(
         alpha=alpha,
         welfare=instance.service.reward * work.welfare(alpha),
@@ -994,7 +1019,7 @@ class SolverOptions:
     exhaustive_vectors: int = 4000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WelfareSolution:
     agreement: SlicingAgreement
     welfare: float
@@ -1028,6 +1053,8 @@ def _slice_bound(instance: SliceInstance) -> float:
     arrival rate.  Maximizing sum_m L_m under it, L_m <= min(inbound_m,
     c_m - RESIDUAL_FLOOR/2) and sum_m L_m <= Lambda is a water-fill for one
     pooled sender, inflated past FEAS_TOL and the bisection's float bracket.
+    It is clamped to full service, reward * Lambda, summed as the solver
+    sums its welfare: no solved slice exceeds that, to the last bit.
     """
     lam = instance.arrivals
     total = float(lam.sum())
@@ -1040,7 +1067,8 @@ def _slice_bound(instance: SliceInstance) -> float:
     box = np.minimum(inbound, caps - RESIDUAL_FLOOR / 2) / total
     theta = instance.service.deadline * (1 + 2 * FEAS_TOL)
     served = total * float(_waterfill(tau, caps, box, total, theta).sum())
-    return instance.service.reward * (served * (1 + 1e-9) + 1e-9)
+    reward = instance.service.reward
+    return min(reward * (served * (1 + 1e-9) + 1e-9), reward * total)
 
 
 def _solve_exhaustive(game: GameInstance) -> WelfareSolution:
@@ -1049,14 +1077,19 @@ def _solve_exhaustive(game: GameInstance) -> WelfareSolution:
     Services decouple once the split is fixed, so the joint split is a
     search over one vector per service under the budgets.  Each candidate
     vector gets an optimistic total: its ``_slice_bound`` plus the best
-    bounded total of the later services on the budget left.  Candidates are
-    visited by optimistic total, highest first; each (service, vector) is
-    solved at most once, and the visit stops at the first candidate whose
-    optimistic total is below the best exact total so far.  No skipped
-    candidate can reach the maximum, and among the visited ones that do,
-    the first in ``itertools.product`` order wins with the same float sum
-    as a full enumeration, so the agreement and welfare are those of solving
-    every vector.
+    bounded total of the later services on the budget left.  That bound is
+    at most full service, ``reward * sum(arrivals)``, which no solved slice
+    exceeds to the last bit (``solve_offload``).  Candidates are visited by
+    optimistic total, highest first, equal ones in ``itertools.product``
+    order; each (service, vector) is solved at most once.  The visit stops
+    at the first candidate whose optimistic total is below the best exact
+    total so far, and passes over one that could at most tie the best from
+    a later position.  So every vector that can serve everything shares one
+    optimistic value, and the first of them that does ends the visit of the
+    others, instead of each near-tie being solved.  No skipped candidate
+    can win, and among the visited ones that reach the maximum the first in
+    product order wins with the same float sum as a full enumeration, so
+    the agreement and welfare are those of solving every vector.
     """
     net = game.network
     n, k_n = net.n_nodes, net.n_services
@@ -1101,6 +1134,8 @@ def _solve_exhaustive(game: GameInstance) -> WelfareSolution:
         for optimistic, pos, vec, rest in cands:
             if optimistic < best[0]:
                 break
+            if optimistic == best[0] and pos > best_pos:
+                continue  # it can at most tie, and a tie goes to the lower position
             sub_w, sub_vecs = best_from(k + 1, rest)
             total = solve(k, vec).welfare + sub_w
             if total > best[0] or (total == best[0] and pos < best_pos):
@@ -1277,7 +1312,7 @@ class Deviation:
     rewards: np.ndarray  # |N|
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoreResult:
     deviation: Deviation | None
     certified: bool

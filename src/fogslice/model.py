@@ -204,7 +204,7 @@ class SlotState:
         object.__setattr__(self, "harvested_prev", harvested)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlicingAgreement:
     """Outcome of one slicing round.
 
@@ -243,7 +243,7 @@ class SlicingAgreement:
         return self.energy.sum(axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One violated constraint, addressed by node and (optionally) service."""
 

@@ -20,9 +20,11 @@ from fogslice.game import (
     CoreOptions,
     GameInstance,
     SliceInstance,
+    SolverOptions,
     _ascent,
     _assemble,
     _best_split,
+    _cap_rows,
     _exhaustive_vector_count,
     _grid_rows,
     _joint_constraints,
@@ -1567,6 +1569,41 @@ def reference_exhaustive(game):
     return _assemble(game, energy, alphas), welfare
 
 
+def counted_solves(monkeypatch):
+    """The energy vector of every ``solve_offload`` call from here on, in call order."""
+    calls = []
+    real = game.solve_offload
+
+    def counting(instance):
+        calls.append(tuple(instance.energy.tolist()))
+        return real(instance)
+
+    monkeypatch.setattr(game, "solve_offload", counting)
+    return calls
+
+
+def audit_c1_game():
+    """Audit game 277 (criterion-3 shape C1): every request can be served, and
+    the uncapped solver reported 27.00000001 for 27 req/s of arrivals."""
+    return GameInstance(
+        network=make_network(n_nodes=3),
+        arrivals=np.array([[6.0], [14.0], [7.0]]),
+        budgets=np.array([2, 3, 2]),
+    )
+
+
+def tie_game():
+    """(0, 3), (1, 3), (2, 2) and (2, 3) all serve every request."""
+    net = make_network(n_nodes=2, services=(make_service(deadline=0.1, unit_rate=10.0),))
+    return GameInstance(network=net, arrivals=np.array([[10.0], [2.0]]), budgets=np.array([2, 3]))
+
+
+def ceiling(game):
+    """Full service: each service's reward times its summed arrivals, added up."""
+    services = game.network.services
+    return sum(svc.reward * float(np.sum(game.arrivals[:, k].astype(float))) for k, svc in enumerate(services))
+
+
 def assert_same_as_full_enumeration(game):
     sol = solve_social_welfare(game)
     assert sol.status == "exhaustive"
@@ -1575,6 +1612,70 @@ def assert_same_as_full_enumeration(game):
         got, want = getattr(sol.agreement, name), getattr(ref, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     assert float(sol.welfare).hex() == float(ref_welfare).hex()
+
+
+class TestFullServiceCeiling:
+    @settings(max_examples=300, deadline=None)
+    @given(bound_slices())
+    @example(audit_c1_game().slice_for(0, np.array([2, 3, 0])))
+    def test_no_row_serves_more_than_its_arrivals(self, inst):
+        sol = solve_offload(inst)
+        assert (sol.alpha.sum(axis=1) <= 1.0).all()
+        assert sol.welfare <= inst.service.reward * float(np.sum(inst.arrivals))
+
+    @settings(max_examples=300, deadline=None)
+    @given(bound_slices(), st.lists(st.floats(0.0, 4e-9), min_size=3, max_size=3), st.integers(0, 4))
+    @example(audit_c1_game().slice_for(0, np.array([2, 3, 0])), [4e-9, 1e-9, 0.0], 3)
+    def test_capping_keeps_a_feasible_alpha_feasible(self, inst, stretch, ulps):
+        """From a solved alpha with rows pushed past 1.0 by a relative stretch and some ulps."""
+        work = _SliceWork(inst)
+        alpha = solve_offload(inst).alpha * (1.0 + np.array(stretch[: work.n]))[:, None]
+        for _ in range(ulps):
+            alpha = np.nextafter(alpha, 2.0, where=alpha > 0, out=alpha)
+        before = work.max_violation(alpha)
+        over = alpha.sum(axis=1) > 1.0
+        event(f"rows over 1.0: {int(over.sum())}")
+        capped = alpha.copy()
+        _cap_rows(capped)
+        assert (capped.sum(axis=1) <= 1.0).all()
+        assert (capped <= alpha).all()
+        assert capped[~over].tobytes() == alpha[~over].tobytes()
+        after = work.max_violation(capped)
+        assert after <= max(before, 0.0)
+        if before <= FEAS_TOL:
+            assert work.feasible(capped)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.lists(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n), min_size=1, max_size=4)
+        ),
+        st.floats(0.0, 1e-8),
+    )
+    def test_capped_rows_end_at_most_one(self, rows, stretch):
+        """Rows scaled to just above 1.0: a division by the sum alone often leaves them an ulp above."""
+        alpha = np.array(rows)
+        sums = alpha.sum(axis=1)
+        assume((sums > 0).all())
+        alpha = alpha / sums[:, None] * (1.0 + stretch)
+        capped = alpha.copy()
+        _cap_rows(capped)
+        after = capped.sum(axis=1)
+        assert (after <= 1.0).all()
+        assert (capped <= alpha).all()
+        assert (after >= 1.0 - 1e-14).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(exhaustive_games())
+    @example(audit_c1_game())
+    def test_no_game_welfare_above_full_service(self, game):
+        assert solve_social_welfare(game).welfare <= ceiling(game)
+        assert solve_social_welfare(game, SolverOptions(exhaustive_nodes=0)).welfare <= ceiling(game)
+
+    def test_audit_c1_game_serves_exactly_its_arrivals(self):
+        sol = solve_social_welfare(audit_c1_game())
+        assert sol.welfare == 27.0
+        assert sol.agreement.offload[0].sum(axis=1).tolist() == [1.0, 1.0, 1.0]
 
 
 class TestExhaustiveSearch:
@@ -1600,16 +1701,35 @@ class TestExhaustiveSearch:
     def test_same_winner_as_full_enumeration(self, game):
         assert_same_as_full_enumeration(game)
 
-    def test_ties_go_to_the_first_vector_in_product_order(self):
-        # (0, 3), (1, 3), (2, 2) and (2, 3) all serve every request; (1, 3)
-        # and (2, 2) share the largest float welfare, and (2, 2) has the
-        # larger bound, so it is visited first but must not win
-        net = make_network(n_nodes=2, services=(make_service(deadline=0.1, unit_rate=10.0),))
-        game = GameInstance(
-            network=net, arrivals=np.array([[10.0], [2.0]]), budgets=np.array([2, 3])
-        )
+    def test_ties_go_to_the_first_vector_in_product_order(self, monkeypatch):
+        # with rows capped at 1.0 the vectors that serve everything tie at
+        # exactly 12.0 and their bounds all sit on that ceiling, so (0, 3),
+        # the first of them in product order, is the only slice solved
+        game = tie_game()
         assert_same_as_full_enumeration(game)
-        assert solve_social_welfare(game).agreement.energy[:, 0].tolist() == [1, 3]
+        calls = counted_solves(monkeypatch)
+        sol = solve_social_welfare(game)
+        assert sol.agreement.energy[:, 0].tolist() == [0, 3]
+        assert sol.welfare == 12.0
+        assert calls == [(0, 3)]
+
+    def test_a_tie_from_an_earlier_position_is_still_solved(self, monkeypatch):
+        # a looser bound that grows with the energy visits (2, 3) first, which
+        # serves everything; (0, 3), bounded at exactly that welfare, can only
+        # tie it, but from an earlier position, so it is solved and wins
+        game_ = tie_game()
+        tight = game._slice_bound
+
+        def loose(inst):
+            if inst.energy.tolist() == [0, 3]:
+                return tight(inst)
+            return tight(inst) * (1.0 + 1e-3 * int(inst.energy.sum()))
+
+        monkeypatch.setattr(game, "_slice_bound", loose)
+        assert_same_as_full_enumeration(game_)
+        calls = counted_solves(monkeypatch)
+        assert solve_social_welfare(game_).agreement.energy[:, 0].tolist() == [0, 3]
+        assert calls[0] == (2, 3) and (0, 3) in calls
 
     def test_vector_count_is_exact_past_1e9(self):
         """Three nodes of 40 000 units each: the count is the full product, never a partial one."""
@@ -1620,19 +1740,11 @@ class TestExhaustiveSearch:
         assert _exhaustive_vector_count(game) == 40_001**3 == 64_004_800_120_001
 
     def test_solves_fewer_slices_than_vectors(self, monkeypatch):
-        import fogslice.game as game_module
-
-        calls = []
-        real = game_module.solve_offload
-
-        def counting(instance):
-            calls.append(tuple(instance.energy))
-            return real(instance)
-
-        monkeypatch.setattr(game_module, "solve_offload", counting)
+        # of the 25 vectors the first that serves everything is the only one solved
+        calls = counted_solves(monkeypatch)
         solve_social_welfare(f4_pair())
         assert len(calls) == len(set(calls))
-        assert len(calls) < 5 * 5
+        assert len(calls) == 1
 
     @settings(max_examples=100, deadline=None)
     @given(exhaustive_games(max_budget=3), st.data())

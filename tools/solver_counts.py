@@ -21,7 +21,12 @@ For each workload the script prints
 - the ``solve_offload`` calls, and how many of them were on a dead slice
   (no usable pair, ``_SliceWork.movers`` empty), which returns at once;
 - the ``_update_row`` calls the ascent made, and how many of them were on
-  a dead sender (a sender outside ``_SliceWork.movers``).
+  a dead sender (a sender outside ``_SliceWork.movers``);
+- for the audit only, per game family (F1-F7, C0-C3), what the default
+  path's exhaustive search (``_solve_exhaustive``) did: the (service,
+  energy vector) pairs a full enumeration would solve, the slice bounds it
+  computed (``_slice_bound`` calls) and the slices it solved
+  (``solve_offload`` calls).
 
 Functions are wrapped at run time; the program has no hook for this.  The
 script also runs in a checkout whose searches check one mid per call.  The
@@ -76,6 +81,49 @@ def audit_pass(games) -> None:
     for g in games:
         game.solve_social_welfare(g)
         game.solve_social_welfare(g, game.SolverOptions(exhaustive_nodes=0))
+
+
+def exhaustive_counts(instances):
+    """Per family: games searched, (service, vector) pairs, bounds computed and slices solved by the search."""
+    counts = collections.defaultdict(collections.Counter)
+    solve_exhaustive, slice_bound, solve_offload = game._solve_exhaustive, game._slice_bound, game.solve_offload
+    family, inside = None, False
+
+    def searched(g):
+        nonlocal inside
+        c = counts[family]
+        c["games"] += 1
+        c["vectors"] += game._exhaustive_vector_count(g) * g.network.n_services
+        inside = True
+        try:
+            return solve_exhaustive(g)
+        finally:
+            inside = False
+
+    def bounded(instance):
+        counts[family]["bounds"] += inside
+        return slice_bound(instance)
+
+    def solved(instance):
+        counts[family]["solved"] += inside
+        return solve_offload(instance)
+
+    game._solve_exhaustive, game._slice_bound, game.solve_offload = searched, bounded, solved
+    try:
+        for family, g, _ in instances:
+            game.solve_social_welfare(g)
+    finally:
+        game._solve_exhaustive, game._slice_bound, game.solve_offload = solve_exhaustive, slice_bound, solve_offload
+    return counts
+
+
+def report_exhaustive(instances) -> None:
+    counts = exhaustive_counts(instances)
+    print("exhaustive search on the default path, by family:")
+    print(f"  {'family':6s} {'games':>6s} {'vectors':>8s} {'bounds':>7s} {'solved':>7s}")
+    total = sum(counts.values(), collections.Counter())
+    for family, c in sorted(counts.items()) + [("all", total)]:
+        print(f"  {family:6s} {c['games']:6d} {c['vectors']:8d} {c['bounds']:7d} {c['solved']:7d}")
 
 
 def urban80_run(seeds) -> None:
@@ -188,9 +236,11 @@ def report(label, run) -> None:
 def main(argv: list[str]) -> int:
     parts = argv or ["audit", "urban80"]
     if "audit" in parts:
-        games = [g for _, g, _ in workloads.audit_instances()]
+        instances = workloads.audit_instances()
+        games = [g for _, g, _ in instances]
         audit_pass(games[:4])  # imports and first-call costs stay out of the timing
         report(f"audit pass: {len(games)} games, both paths", lambda: audit_pass(games))
+        report_exhaustive(instances)
     if "urban80" in parts:
         urban80_run([1000003])  # as the benchmark's warm-up op
         report("urban80 episodes 0-4", lambda: urban80_run(range(5)))
