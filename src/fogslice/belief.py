@@ -161,25 +161,38 @@ def _check_fully_observed(model: FinitePomdp) -> None:
         )
 
 
-def _state_values(model: FinitePomdp, depth: int, cache: dict) -> np.ndarray:
-    """V_depth(s) by backward induction; ``cache`` maps depth to V vectors."""
-    v = cache.setdefault(0, model.reward.max(axis=1))
-    for d in range(1, depth + 1):
-        if d not in cache:
-            cache[d] = (model.reward + model.gamma * (model.transition @ v).T).max(axis=1)
-        v = cache[d]
-    return v
+def q_values(
+    transition: np.ndarray, reward: np.ndarray, gamma: float, depth: int, cache: dict | None = None
+) -> np.ndarray:
+    """Q_depth(s, a) = R[s, a] + gamma * (T_a V_{depth-1})(s), as an (S, A) table.
+
+    ``transition`` is (A, S, S) and ``reward`` (S, A) of a fully observed
+    model; V_d is Q_d's row maximum and V_0 the best immediate reward.
+    ``cache`` maps depth to V vectors and may be shared across calls on the
+    same model.
+    """
+    if depth == 0:
+        return reward
+    cache = {} if cache is None else cache
+    if depth - 1 not in cache:
+        cache[depth - 1] = q_values(transition, reward, gamma, depth - 1, cache).max(axis=1)
+    return reward + gamma * (transition @ cache[depth - 1]).T
 
 
-def _action_values(model: FinitePomdp, env, depth: int, cache: dict | None) -> np.ndarray:
-    """q(b, a) = b.R[:, a] + gamma * sum_s b(s) (T_a V_{depth-1})(s)."""
-    _check_fully_observed(model)
-    env = np.asarray(env, dtype=float)
-    q = env @ model.reward
-    if depth > 0:
-        v = _state_values(model, depth - 1, {} if cache is None else cache)
-        q = q + model.gamma * ((model.transition @ v) @ env)
-    return q
+def pick_actions(q: np.ndarray, action_costs: np.ndarray | None = None) -> np.ndarray:
+    """Per row of ``q`` (..., A), the best action; ties prefer the cheaper action.
+
+    Actions within ``TIE_TOL`` of the row's best value tie; among them those
+    within ``TIE_TOL`` of the cheapest ``action_costs`` remain, and the
+    lowest index wins.
+    """
+    q = np.asarray(q, dtype=float)
+    tied = q >= q.max(axis=-1, keepdims=True) - TIE_TOL
+    if action_costs is not None:
+        costs = np.asarray(action_costs, dtype=float)
+        cheapest = np.where(tied, costs, np.inf).min(axis=-1, keepdims=True)
+        tied &= costs <= cheapest + TIE_TOL
+    return tied.argmax(axis=-1)
 
 
 def bellman_value(
@@ -197,7 +210,9 @@ def bellman_value(
     Raises:
         ValueError: If the model's observations do not reveal the state.
     """
-    return float(_action_values(model, env, depth, cache).max())
+    _check_fully_observed(model)
+    q = q_values(model.transition, model.reward, model.gamma, depth, cache)
+    return float((np.asarray(env, dtype=float) @ q).max())
 
 
 def select_action(
@@ -209,16 +224,11 @@ def select_action(
     """Best action index at the given depth; ties prefer the cheaper action.
 
     ``action_costs`` orders equally-valued actions (typically energy
-    spent); remaining ties go to the lower index.
+    spent); remaining ties go to the lower index (see ``pick_actions``).
 
     Raises:
         ValueError: If the model's observations do not reveal the state.
     """
-    q = _action_values(model, env, depth, None)
-    best = q.max()
-    candidates = [a for a in range(model.n_actions) if q[a] >= best - TIE_TOL]
-    if action_costs is not None:
-        costs = np.asarray(action_costs, dtype=float)
-        cheapest = min(costs[a] for a in candidates)
-        candidates = [a for a in candidates if costs[a] <= cheapest + TIE_TOL]
-    return candidates[0]
+    _check_fully_observed(model)
+    q = q_values(model.transition, model.reward, model.gamma, depth)
+    return int(pick_actions(np.asarray(env, dtype=float) @ q, action_costs))

@@ -143,9 +143,7 @@ def _given(cfg: dict, path: str, parsers) -> dict:
 
 # The keys each config mapping may hold; anything else is a typo or a removed
 # option and is rejected rather than silently ignored.
-ROOT_KEYS = (
-    "seed", "slots", "services", "defaults", "nodes", "topology", "policy", "solver", "backlogged"
-)
+ROOT_KEYS = ("seed", "slots", "services", "defaults", "nodes", "topology", "policy", "solver")
 SERVICE_KEYS = ("name", "deadline", "reward", "unit_rate")
 DEFAULTS_KEYS = ("node", "harvest", "arrivals")
 NODE_KEYS = (
@@ -348,7 +346,6 @@ def build_config(cfg: dict) -> ExperimentConfig:
         harvest=tuple(harvest_chains),
         arrivals=tuple(arrival_chains),
         battery_cap=tuple(caps),
-        backlogged=bool(cfg.get("backlogged", False)),
     )
 
     pol_cfg = _mapping(cfg.get("policy", {"kind": "no_coop"}), "policy", POLICY_KEYS)
@@ -463,10 +460,10 @@ class _AgentMind:
         self.helper_nodes = [cfg.network.nodes[j] for j in self.helpers]
         self.tau = [float(cfg.network.rtt[i, j]) for j in self.helpers]
         self.counts = np.ones((len(self.helpers), self.type_space.n_types))
-        # the action chosen in each own state, planned under the counts whose
-        # bytes are ``_planned_for``; dropped when the counts change
-        self._planned_for = self.counts.tobytes()
-        self._decisions: dict[tuple, int] = {}
+        # the action index chosen in each own state, planned under the counts
+        # whose bytes are ``_planned_for``
+        self._planned_for: bytes | None = None
+        self._plan: np.ndarray | None = None
 
         hchain = cfg.env.harvest[i]
         achains = cfg.env.arrivals[i]
@@ -527,7 +524,6 @@ class _AgentMind:
         t = np.zeros((a_n, s_n, cap + 1, *shape[1:]))
         t[np.arange(a_n)[:, None], np.arange(s_n), b_next.T] = chains[h, ar]
         self._transition = t.reshape(a_n, s_n, s_n)
-        self._transition.setflags(write=False)  # so each slot's FinitePomdp keeps it uncopied
         self._profiles = belief_mod.enumerate_profiles(len(self.helpers), self.type_space.n_types)
         payoffs = np.array(
             [[[payoff(p, av, u) for u in budgets] for av in avecs] for p in self._profiles]
@@ -535,40 +531,25 @@ class _AgentMind:
         self._reward_profiles = payoffs[:, ar[:, None], avail]  # (profile, state, action)
 
     def choose_budget(self, state: env_mod.EnvState) -> int:
-        """Budget for this slot, planned once per own state while the counts hold.
+        """Budget for this slot, read from a plan of every own state.
 
-        The plan depends only on the counts and the agent's own (battery,
-        harvest, arrivals) state, so a state met again under the same counts
-        reuses its action.
+        The plan depends only on the counts, so it is made again only when
+        their bytes change; ties withhold more.
         """
+        counts = self.counts.tobytes()
+        if counts != self._planned_for:
+            reward = belief_mod.type_profile_rewards(
+                self._reward_profiles, self._profiles, self.counts
+            )
+            q = belief_mod.q_values(self._transition, reward, self.gamma, self.depth)
+            self._planned_for = counts
+            self._plan = belief_mod.pick_actions(q, [-w for w in self.actions])
         own = (
             int(state.battery[self.i]),
             int(state.harvest_idx[self.i]),
             tuple(int(x) for x in state.arrival_idx[self.i]),
         )
-        counts = self.counts.tobytes()
-        if counts != self._planned_for:
-            self._planned_for, self._decisions = counts, {}
-        a = self._decisions.get(own)
-        if a is None:
-            s_n, a_n = len(self.states), len(self.actions)
-            model = belief_mod.FinitePomdp(
-                states=tuple(self.states),
-                actions=tuple(self.actions),
-                observations=tuple(self.states),
-                transition=self._transition,
-                observation=np.broadcast_to(np.eye(s_n), (a_n, s_n, s_n)),
-                reward=belief_mod.type_profile_rewards(
-                    self._reward_profiles, self._profiles, self.counts
-                ),
-                gamma=self.gamma,
-            )
-            env_belief = np.zeros(s_n)
-            env_belief[self.index[own]] = 1.0
-            costs = [-w for w in self.actions]  # ties withhold more
-            a = belief_mod.select_action(model, env_belief, self.depth, action_costs=costs)
-            self._decisions[own] = a
-        return max(own[0] - self.actions[a], 0)
+        return max(own[0] - self.actions[self._plan[self.index[own]]], 0)
 
     def observe_agreement(self, agreement: SlicingAgreement, arrivals: np.ndarray):
         """Classify each helper's realized spare capacity and update the belief."""

@@ -117,16 +117,14 @@ class EnvState:
 class EnvironmentSpec:
     """Chains and battery limits for every node in the network.
 
-    ``arrivals[i][k]`` drives node i's type-k workload.  In backlogged mode
-    arrival chains are pinned at their maximum level: there is always work
-    waiting, and work not served within a slot is dropped, not queued.
-    Every harvest and arrival level is >= 0.
+    ``arrivals[i][k]`` drives node i's type-k workload; work not served
+    within a slot is dropped, not queued.  Every harvest and arrival level
+    is >= 0.
     """
 
     harvest: tuple[MarkovChainSpec, ...]
     arrivals: tuple[tuple[MarkovChainSpec, ...], ...]
     battery_cap: tuple[int, ...]
-    backlogged: bool = False
 
     def __post_init__(self):
         if len(self.arrivals) != len(self.harvest) or len(self.battery_cap) != len(self.harvest):
@@ -144,12 +142,7 @@ class EnvironmentSpec:
         if any(b < 0 or b > cap for b, cap in zip(battery, self.battery_cap)):
             raise ValueError("initial battery out of range")
         harvest_idx = tuple(0 for _ in self.harvest)
-        if self.backlogged:
-            arrival_idx = tuple(
-                tuple(int(np.argmax(c.levels)) for c in per_node) for per_node in self.arrivals
-            )
-        else:
-            arrival_idx = tuple(tuple(0 for _ in per_node) for per_node in self.arrivals)
+        arrival_idx = tuple(tuple(0 for _ in per_node) for per_node in self.arrivals)
         return EnvState(harvest_idx=harvest_idx, arrival_idx=arrival_idx, battery=battery)
 
     def arrival_rates(self, state: EnvState) -> np.ndarray:
@@ -218,14 +211,11 @@ def sample_step(
         _draw(env.harvest[i].cumulative[state.harvest_idx[i]], rng)
         for i in range(env.n_nodes)
     )
-    if env.backlogged:
-        arrival_idx = state.arrival_idx
-    else:
-        arrival_idx = tuple(
-            tuple(
-                _draw(chain.cumulative[state.arrival_idx[i][k]], rng)
-                for k, chain in enumerate(env.arrivals[i])
-            )
-            for i in range(env.n_nodes)
+    arrival_idx = tuple(
+        tuple(
+            _draw(chain.cumulative[state.arrival_idx[i][k]], rng)
+            for k, chain in enumerate(env.arrivals[i])
         )
+        for i in range(env.n_nodes)
+    )
     return EnvState(harvest_idx=harvest_idx, arrival_idx=arrival_idx, battery=battery)

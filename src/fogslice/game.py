@@ -789,13 +789,12 @@ def _joint_refine(work: _SliceWork, alpha: np.ndarray) -> np.ndarray:
     incumbent always survives.  SLSQP gets the exact objective gradient
     (the constant -lam of each entry's sender) and the exact Jacobian of
     the stacked constraints from ``_joint_constraints``, so it never
-    differences anything.
+    differences anything.  ``solve_offload`` calls it only on a slice with
+    a usable pair, so x is never empty.
     """
     from scipy.optimize import minimize
 
     rows, cols, ineq, ineq_jac = _joint_constraints(work)
-    if not rows.size:
-        return alpha
     lam_of = work.lam[rows]
     obj = lambda x: -float(np.dot(lam_of, x))
     obj_jac = lambda x: -lam_of

@@ -2,16 +2,18 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fogslice.belief import (
+    TIE_TOL,
     FinitePomdp,
     ImpossibleObservation,
     TypeSpace,
     bellman_value,
     enumerate_profiles,
+    pick_actions,
     select_action,
     type_profile_rewards,
     update_env_belief,
@@ -361,6 +363,51 @@ class TestSelectAction:
         )
         picked = select_action(model, np.array([1.0]), 2, action_costs=np.array([5.0, 1.0]))
         assert picked == 1
+
+
+def loop_pick(q_row, costs):
+    """The tie rule one candidate at a time: best value, then cheapest cost, then lowest index."""
+    best = q_row.max()
+    candidates = [a for a in range(len(q_row)) if q_row[a] >= best - TIE_TOL]
+    if costs is not None:
+        cheapest = min(costs[a] for a in candidates)
+        candidates = [a for a in candidates if costs[a] <= cheapest + TIE_TOL]
+    return candidates[0]
+
+
+# gaps that plant exact ties, ties within TIE_TOL, one on its edge and near misses
+GAPS = st.sampled_from([0.0, 0.0, 0.25 * TIE_TOL, TIE_TOL, 1.5 * TIE_TOL, 3 * TIE_TOL])
+
+
+@st.composite
+def tied_tables(draw):
+    """An (S, A) table whose rows hold planted ties, and costs that tie too or None."""
+    s_n, a_n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    q = draw(hnp.arrays(float, (s_n, a_n), elements=st.floats(-10.0, 10.0)))
+    for s in range(s_n):
+        for a in range(a_n):
+            if draw(st.booleans()):
+                q[s, a] = q[s].max() - draw(GAPS)
+    if draw(st.booleans()):
+        return q, None
+    costs = [draw(st.sampled_from([-2.0, 0.0, 1.0])) + draw(GAPS) for _ in range(a_n)]
+    return q, np.array(costs)
+
+
+EDGES = np.array([[1.0, 1.0 - 0.5 * TIE_TOL, 1.0 - 3 * TIE_TOL], [0.0, 2.0, 2.0]])
+
+
+class TestPickActions:
+    @settings(deadline=None, max_examples=300)
+    @given(table=tied_tables())
+    # a near tie that is cheaper, and a miss below TIE_TOL that is cheaper still
+    @example(table=(EDGES, np.array([1.0, 0.0, -1.0])))
+    @example(table=(EDGES, np.array([0.0, 0.5 * TIE_TOL, 0.0])))
+    def test_matches_the_candidate_loop(self, table):
+        q, costs = table
+        expected = [loop_pick(row, costs) for row in q]
+        assert pick_actions(q, costs).tolist() == expected
+        assert [int(pick_actions(row, costs)) for row in q] == expected
 
 
 class TestPlannerProperties:

@@ -284,6 +284,7 @@ class TestBuildConfig:
             (lambda c: c["nodes"][1].update(batery_init=3), "nodes[1].batery_init"),
             (lambda c: c["defaults"]["harvest"].update(vlaue=3), "harvest.vlaue"),
             (lambda c: c["policy"].update(dept=3), "policy.dept"),
+            (lambda c: c.update(backlogged=True), "backlogged"),  # a removed option
         ],
     )
     def test_unknown_keys_are_rejected(self, mutate, path):
@@ -448,19 +449,6 @@ class TestEpisodePhysics:
             assert np.allclose(rec.rewards, rec.offloaded, atol=1e-9)
             assert rec.welfare == pytest.approx(rec.rewards.sum(), abs=1e-9)
             assert all(s in ("exhaustive", "heuristic") for s in rec.statuses)
-
-    def test_backlogged_pins_arrivals_at_peak(self):
-        raw = base_engine_config(backlogged=True, slots=6)
-        raw["nodes"][0]["arrivals"] = [
-            {
-                "kind": "levels",
-                "levels": [5.0, 30.0],
-                "transition": [[0.5, 0.5], [0.5, 0.5]],
-            }
-        ]
-        result = run_episode(raw)
-        for rec in result.records:
-            assert rec.arrivals[0, 0] == 30.0
 
     def test_myopic_spends_the_whole_battery(self):
         result = run_episode(starved_pair_config("myopic"))
@@ -649,18 +637,19 @@ def fresh_action(mind, own):
     return select_action(model, point, mind.depth, action_costs=[-w for w in mind.actions])
 
 
-class TestDecisionMemo:
-    """``choose_budget`` remembers its actions only while the counts hold."""
+class TestPlanTable:
+    """``choose_budget`` reads a plan of every own state, made under the counts it holds."""
 
     def run_checked(self, raw, monkeypatch):
-        """Run an episode, re-planning every remembered action after each choice.
+        """Run an episode, checking the whole plan against fresh selections after each choice.
 
-        Returns the memo's size after each call.
+        Returns, per call, whether it made a new plan.
         """
         original = engine._AgentMind.choose_budget
-        sizes = []
+        replanned = []
 
         def checked(mind, state):
+            before = mind._plan
             budget = original(mind, state)
             i = mind.i
             own = (
@@ -669,31 +658,27 @@ class TestDecisionMemo:
                 tuple(int(x) for x in state.arrival_idx[i]),
             )
             assert budget == max(own[0] - mind.actions[fresh_action(mind, own)], 0)
-            # every entry was planned under the counts the mind holds now
             assert mind._planned_for == mind.counts.tobytes()
-            for seen, action in mind._decisions.items():
-                assert action == fresh_action(mind, seen)
-            sizes.append(len(mind._decisions))
+            assert mind._plan.tolist() == [fresh_action(mind, s) for s in mind.states]
+            replanned.append(mind._plan is not before)
             return budget
 
         monkeypatch.setattr(engine._AgentMind, "choose_budget", checked)
         run_episode(raw)
-        return sizes
+        return replanned
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_scarcity_reuses_plans(self, seed, monkeypatch):
-        sizes = self.run_checked(scarcity_config(seed, "bpomdp"), monkeypatch)
-        assert len(sizes) == 100
-        # no helpers: the counts never change, so states met again hit the memo
-        assert sizes == sorted(sizes) and sizes[-1] < len(sizes)
+    def test_scarcity_plans_once(self, seed, monkeypatch):
+        replanned = self.run_checked(scarcity_config(seed, "bpomdp"), monkeypatch)
+        # no helpers: the counts never change, so the first plan serves every slot
+        assert replanned == [True] + [False] * 99
 
     def test_helpers_replan_every_slot(self, monkeypatch):
         raw = chained_mind_config()
         raw["slots"] = 12
-        sizes = self.run_checked(raw, monkeypatch)
-        assert len(sizes) == 3 * 12
-        # helpers move the counts each slot, which drops the memo
-        assert sizes == [1] * len(sizes)
+        replanned = self.run_checked(raw, monkeypatch)
+        # helpers move the counts each slot, which calls for a new plan
+        assert replanned == [True] * 3 * 12
 
 
 def repeating_components_config(slots=30):

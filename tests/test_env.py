@@ -19,7 +19,7 @@ from fogslice.env import (
 )
 
 
-def single_node_env(harvest=None, arrivals=None, cap=100, backlogged=False):
+def single_node_env(harvest=None, arrivals=None, cap=100):
     if harvest is None:
         harvest = MarkovChainSpec.constant(5.0)
     if arrivals is None:
@@ -28,7 +28,6 @@ def single_node_env(harvest=None, arrivals=None, cap=100, backlogged=False):
         harvest=(harvest,),
         arrivals=((arrivals,),),
         battery_cap=(cap,),
-        backlogged=backlogged,
     )
 
 

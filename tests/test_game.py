@@ -408,6 +408,7 @@ class TestJointRefine:
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
     def test_never_below_incumbent_and_feasible(self, seed, n):
         work = _SliceWork(mesh_slice(np.random.default_rng(seed), n))
+        assume(work.movers)  # solve_offload refines only a slice with a usable pair
         incumbent = np.zeros((n, n))
         _ascent(work, incumbent)
         out = _joint_refine(work, incumbent.copy())
