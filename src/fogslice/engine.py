@@ -256,7 +256,7 @@ def build_config(cfg: dict) -> ExperimentConfig:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
     _mapping(cfg, "", ROOT_KEYS)
-    seed = _as_int(cfg.get("seed", 0), "seed")
+    seed = _nonneg(cfg.get("seed", 0), "seed", parse=_as_int)
     slots = _as_int(cfg.get("slots", 1), "slots")
     if slots <= 0:
         _fail("slots", "must be >= 1")
@@ -280,7 +280,7 @@ def build_config(cfg: dict) -> ExperimentConfig:
             _fail("nodes.profile", f"must be one of {tuple(topo_mod.PROFILES)}, got {profile!r}")
         positions = topo_mod.synth_topology(
             count,
-            _as_int(nodes_cfg.get("seed", seed), "nodes.seed"),
+            _nonneg(nodes_cfg.get("seed", seed), "nodes.seed", parse=_as_int),
             profile=profile,
             radius_m=_positive(nodes_cfg.get("radius", 1000.0), "nodes.radius"),
         )
@@ -481,9 +481,12 @@ class _AgentMind:
                 "of chain levels or policy.helper_cap"
             )
         self.index = {s: si for si, s in enumerate(self.states)}
+        arrays = cfg.network.arrays
+        rates = arrays.unit_rates.tolist()
         # per service, the helpers whose round trip leaves time to serve it
         near = [
-            [hj for hj, tj in enumerate(self.tau) if tj < svc.deadline] for svc in self.services
+            [hj for hj, j in enumerate(self.helpers) if arrays.allowed[k, i, j]]
+            for k in range(len(self.services))
         ]
 
         @functools.cache
@@ -493,14 +496,12 @@ class _AgentMind:
 
         @functools.cache
         def share(k: int, lam: float, units: int, types: tuple) -> float:
-            svc = self.services[k]
-            caps = [capacity(svc.unit_rate * self.node.rate_factor, units, eu)]
+            caps = [capacity(rates[i][k], units, eu)]
             for hj, tj in zip(near[k], types):
-                spare = self.type_space.spare_units[tj]
-                caps.append(svc.unit_rate * self.helper_nodes[hj].rate_factor * spare)
+                caps.append(rates[self.helpers[hj]][k] * self.type_space.spare_units[tj])
             taus = [0.0] + [self.tau[hj] for hj in near[k]]
             caps, taus = np.array(caps, dtype=float), np.array(taus, dtype=float)
-            return lone_sender_share(taus, caps, lam, svc.deadline)
+            return lone_sender_share(taus, caps, lam, self.services[k].deadline)
 
         def payoff(profile: tuple, av: tuple, avail: int) -> float:
             """Own slot payoff if committing ``avail`` with helpers of these types."""

@@ -9,24 +9,29 @@ joint energy split and offload pattern maximizing the summed payoff of all
 nodes; the core checker then probes whether any small coalition could do
 strictly better for every member on its own.
 
+A slice (``SliceInstance``) holds its network, a service index and that
+service's energy and arrivals columns; its round trips, capacities and open
+edges are read from the network's fixed arrays (``NetworkSpec.arrays``).
+
 Offload fractions for one slice are found by block-coordinate ascent: each
 sender in turn gets the row of fractions maximizing its served workload
 subject to every deadline and capacity staying feasible, via a water-filling
-step on a common marginal delay price.  That price is the one a geometric
-bisection ends on.  Because round trips are non-negative, the bisection's
-pass/fail verdict is monotone in the price even in floating point, so a few
-safeguarded Newton probes answer nearly all of its steps, and the result is
-the bisection's to the last bit.  Every stage that backs off along a segment
+step on a common marginal delay price.  That price is the largest float
+whose allocation passes.  Because round trips are non-negative, the
+pass/fail verdict is monotone in the price even in floating point, so one
+search finds it: safeguarded Newton probes narrow a pass/fail bracket, and
+geometric mids close it to two adjacent floats, which is where a geometric
+bisection ends, to the last bit.  Every stage that backs off along a segment
 start + s*delta to stay feasible finds its step with one method,
 ``_SliceWork.last_feasible``, a bisection (``_last_feasible``) on that
 segment.  It checks the mids of the next few bisection levels as one stack
 of matrices, each with the arithmetic a check of that matrix alone does, so
 the step is the one-mid-at-a-time bisection's to the last bit.  Every other
 check, row bound and swap reads the slice's loads, responses and verdict
-through ``_SliceWork.state``, which keeps them for the offload matrix last
-seen, keyed on its bytes: each distinct matrix's are computed once, however
-many stages ask.  A grid-search oracle (oracles module) backstops the whole
-pipeline on desk-size instances.
+through ``_SliceWork.state``, which computes all three together and keeps
+them for the offload matrix last seen, keyed on its bytes: each distinct
+matrix's are computed once, however many stages ask.  A grid-search oracle
+(oracles module) backstops the whole pipeline on desk-size instances.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ import math
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,53 +60,50 @@ FEAS_TOL = 1e-9
 class SliceInstance:
     """One service's view of a slot: committed energy and offered workload.
 
-    Node indices are local to the instance.  ``energy[i]`` is the integer
-    energy node i committed to this service; its capacity is
-    unit_rate * rate_factor * floor(energy / unit_energy).
+    ``energy[i]`` is the integer energy node i committed to service
+    ``service_idx`` of ``network``, and ``arrivals[i]`` its offered rate
+    there.  Everything else, the service, the round trips, the unit rates
+    and the open edges, is read from the network and its ``arrays``.
     """
 
-    service: ServiceTypeSpec
-    nodes: tuple[FogNodeSpec, ...]
+    network: NetworkSpec
+    service_idx: int
     energy: np.ndarray
     arrivals: np.ndarray
-    neighbors: tuple[frozenset[int], ...]
-    rtt: np.ndarray
 
     def __post_init__(self):
-        n = len(self.nodes)
         energy = frozen_array(self.energy)
         arrivals = frozen_array(self.arrivals, dtype=float)
-        rtt = frozen_array(self.rtt, dtype=float)
-        if energy.shape != (n,) or arrivals.shape != (n,) or rtt.shape != (n, n):
-            raise ValueError("energy, arrivals and rtt must align with nodes")
+        if energy.shape != (self.n_nodes,) or arrivals.shape != (self.n_nodes,):
+            raise ValueError("energy and arrivals must align with the network's nodes")
         object.__setattr__(self, "energy", energy)
         object.__setattr__(self, "arrivals", arrivals)
-        object.__setattr__(self, "rtt", rtt)
+
+    @property
+    def service(self) -> ServiceTypeSpec:
+        return self.network.services[self.service_idx]
+
+    @property
+    def rtt(self) -> np.ndarray:
+        return self.network.rtt
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return self.network.n_nodes
 
     def capacities(self) -> np.ndarray:
-        w = np.array([self.service.unit_rate * nd.rate_factor for nd in self.nodes])
-        unit_energy = np.array([nd.unit_energy for nd in self.nodes])
-        return capacity(w, self.energy.astype(int), unit_energy)
+        """unit_rate * rate_factor * floor(energy / unit_energy) per node, requests/s."""
+        arrays = self.network.arrays
+        return capacity(arrays.unit_rates[:, self.service_idx], self.energy, arrays.unit_energy[:, 0])
 
     def allowed(self) -> np.ndarray:
-        """Boolean (n x n): sender i may place workload on destination m.
+        """Read-only boolean (n x n): sender i may place workload on destination m.
 
         Edges whose round trip alone meets or exceeds the deadline are
-        closed: a request forwarded there can never return in time, no
-        matter how small its share of the sender's mix.
+        closed (``NetworkArrays.closed``): a request forwarded there can
+        never return in time, no matter how small its share of the mix.
         """
-        n = self.n_nodes
-        mask = np.eye(n, dtype=bool)
-        theta = self.service.deadline
-        for i, nbrs in enumerate(self.neighbors):
-            for m in nbrs:
-                if self.rtt[i, m] < theta:
-                    mask[i, m] = True
-        return mask
+        return self.network.arrays.allowed[self.service_idx]
 
 
 @dataclass(frozen=True)
@@ -126,14 +129,8 @@ class GameInstance:
         object.__setattr__(self, "budgets", budgets)
 
     def slice_for(self, service_idx: int, energy: np.ndarray) -> SliceInstance:
-        net = self.network
         return SliceInstance(
-            service=net.services[service_idx],
-            nodes=net.nodes,
-            energy=np.asarray(energy, dtype=int),
-            arrivals=self.arrivals[:, service_idx],
-            neighbors=net.neighbors,
-            rtt=net.rtt,
+            self.network, service_idx, np.asarray(energy, dtype=int), self.arrivals[:, service_idx]
         )
 
     def restrict(self, members) -> GameInstance:
@@ -268,8 +265,9 @@ def _waterfill(tau, cap, box, lam, theta):
     The delay of destination m is g_m(a) = a*tau_m + a/(cap_m - lam*a),
     strictly convex and increasing, so the optimum equalizes the marginal
     price phi_m(a) = tau_m + cap_m/(cap_m - lam*a)^2 across destinations in
-    use.  The common price is the lo a geometric bisection ends on, which
-    stops once the price bracket is two adjacent floats and cannot be split.
+    use.  The common price is the largest float whose allocation passes
+    (share at most 1 and delay at most theta), and the result is the
+    allocation there.
 
     The kernel computes on Python floats, one destination at a time.  Each
     step rounds as numpy's elementwise operation would, numpy's maximum and
@@ -277,22 +275,22 @@ def _waterfill(tau, cap, box, lam, theta):
     summed by ``_pairwise_sum`` in numpy's order; so the result is the one
     the same steps on float64 arrays give, bit for bit.
 
-    Most of the bisection's verdicts are inferred, not computed.  With
-    tau >= 0 at the destinations in use (and cap > 0, lam > 0) every float
-    operation in the allocation and the verdict is monotone in each of its
-    arguments, and so is the kernel's fixed summation order; so the verdict,
-    as computed, is monotone in the price: a price that passes answers every
-    lower one, and a price that fails every higher one.  Safeguarded Newton
-    probes (see ``_price_probe``) first bracket the price where the verdict
-    switches; the bisection then evaluates only the mids strictly between
-    the highest passing and the lowest failing probe, and every other mid
-    gets the verdict it would have computed.  It ends on the same lo, and
-    the allocation at lo is the same to the last bit.
+    One search finds that price.  With tau >= 0 at the destinations in use
+    (and cap > 0, lam > 0) every float operation in the allocation and the
+    verdict is monotone in each of its arguments, and so is the kernel's
+    fixed summation order; so the verdict, as computed, is monotone in the
+    price: a price that passes answers every lower one, and a price that
+    fails every higher one.  The search keeps a bracket of a passing and a
+    failing price.  Safeguarded Newton probes (see ``_price_probe``) narrow
+    it while a budget of 64 lasts; a probe outside the bracket, and every
+    step after the budget, takes the bracket's geometric mid instead.  The
+    search ends when no float lies between the two, at the largest passing
+    float: the price a geometric bisection of the whole range ends on.
 
     Raises:
         ValueError: If a destination in use has lam * box >= cap, so its box
             leaves no residual capacity, or a negative or NaN round trip,
-            which breaks the monotonicity the inference rests on.
+            which breaks the monotonicity the search rests on.
     """
     full = [0.0] * len(cap)
     tau, cap, box, lam, theta = tau.tolist(), cap.tolist(), box.tolist(), float(lam), float(theta)
@@ -339,22 +337,22 @@ def _waterfill(tau, cap, box, lam, theta):
     a, share, delay, ok = measure(hi)
     if ok:
         return spread(a)
-    lo = min(phi0)
-    # probes: good passes, bad fails; they only narrow the range the bisection
-    # below must evaluate, so a probe budget running out costs time, not bits
-    good, bad = lo, hi
-    mu, a, share, delay, ok = lo, [0.0] * len(c), 0.0, 0.0, True  # the allocation at lo is all zeros
+    # good passes and bad fails; the allocation at the lowest opening price is all zeros
+    good, bad, kept = min(phi0), hi, [0.0] * len(c)
+    mu, a, share, delay, ok = good, kept, 0.0, 0.0, True
     k = [math.sqrt(cm) / lam for cm in c]
-    for _ in range(64):
-        opened = [(tm, km) for tm, km, pm, am, bm in zip(t, k, phi0, a, b) if mu >= pm and am < bm]
-        if opened:
-            nxt = _price_probe(mu, *zip(*opened), share_max - share, delay_max - delay)
-            # once the fit stalls at the switch, step one ulp across it
-            nxt = max(nxt, mu + math.ulp(mu)) if ok else min(nxt, mu - math.ulp(mu))
-        else:
-            # every destination is shut or full: nothing moves before the next opening price
-            above = [pm for pm in phi0 if pm > mu]
-            nxt = min(above) if ok and above else math.nan
+    for probe in itertools.count():
+        nxt = math.nan
+        if probe < 64:
+            opened = [(tm, km) for tm, km, pm, am, bm in zip(t, k, phi0, a, b) if mu >= pm and am < bm]
+            if opened:
+                nxt = _price_probe(mu, *zip(*opened), share_max - share, delay_max - delay)
+                # once the fit stalls at the switch, step one ulp across it
+                nxt = max(nxt, mu + math.ulp(mu)) if ok else min(nxt, mu - math.ulp(mu))
+            else:
+                # every destination is shut or full: nothing moves before the next opening price
+                above = [pm for pm in phi0 if pm > mu]
+                nxt = min(above) if ok and above else math.nan
         if not good < nxt < bad:
             nxt = math.sqrt(good * bad)
             if not good < nxt < bad:
@@ -362,19 +360,10 @@ def _waterfill(tau, cap, box, lam, theta):
         mu = nxt
         a, share, delay, ok = measure(mu)
         if ok:
-            good = mu
+            good, kept = mu, a
         else:
             bad = mu
-    for _ in range(130):
-        mid = math.sqrt(lo * hi)
-        if not lo < mid < hi:
-            break  # the bracket cannot be split; every later step repeats a verdict
-        passed = measure(mid)[3] if good < mid < bad else mid <= good
-        if passed:
-            lo = mid
-        else:
-            hi = mid
-    return spread([0.0 if x < 1e-12 else x for x in measure(lo)[0]])
+    return spread([0.0 if x < 1e-12 else x for x in kept])
 
 
 def _price_probe(mu, t, k, share_gap, delay_gap):
@@ -413,11 +402,6 @@ def _price_probe(mu, t, k, share_gap, delay_gap):
     return mu + min(step_share, dw * (2.0 * w + dw))
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 def _violations(work: _SliceWork, alpha, loads, pis):
     """Largest constraint excess of one offload matrix, or of each in a stack.
 
@@ -437,37 +421,16 @@ def _violations(work: _SliceWork, alpha, loads, pis):
     return np.where(np.isnan(top), np.inf, np.maximum(worst, top - 1.0))
 
 
-class _SliceState:
-    """One offload matrix's loads, responses and verdict, each computed at most once.
+class _SliceState(NamedTuple):
+    """One offload matrix's loads, responses and ``_violations`` verdict.
 
-    It reads a read-only copy of the matrix taken when it was made, so a
-    caller's later in-place change cannot reach it, and every array it
-    hands out is read-only.
+    ``key`` is the matrix's bytes; both arrays are read-only.
     """
 
-    def __init__(self, work: _SliceWork, alpha: np.ndarray, key: bytes):
-        self.work, self.key, self.alpha = work, key, _frozen(alpha.copy())
-        self._loads = self._pis = self._violation = None
-
-    @property
-    def loads(self) -> np.ndarray:
-        if self._loads is None:
-            self._loads = _frozen(self.alpha.T @ self.work.lam)
-        return self._loads
-
-    @property
-    def pis(self) -> np.ndarray:
-        if self._pis is None:
-            w = self.work
-            self._pis = _frozen(response_times(self.alpha, w.lam, w.caps, w.tau))
-        return self._pis
-
-    @property
-    def violation(self) -> float:
-        """``_violations`` of this matrix."""
-        if self._violation is None:
-            self._violation = float(_violations(self.work, self.alpha, self.loads, self.pis))
-        return self._violation
+    key: bytes
+    loads: np.ndarray
+    pis: np.ndarray
+    violation: float
 
 
 class _SliceWork:
@@ -476,17 +439,17 @@ class _SliceWork:
     def __init__(self, instance: SliceInstance):
         self.instance = instance
         self.n = instance.n_nodes
-        self.lam = instance.arrivals.astype(float)
-        self.caps = instance.capacities().astype(float)
-        self.tau = instance.rtt.astype(float)
+        self.lam = instance.arrivals
+        self.caps = instance.capacities()
+        self.tau = instance.rtt
         self.allowed = instance.allowed()
         self.theta = instance.service.deadline
-        self.senders = [i for i in range(self.n) if self.lam[i] > 0]
         self.is_sender = self.lam > 0
+        self.senders = np.flatnonzero(self.is_sender).tolist()
         # a usable pair: a sender and an allowed destination with capacity;
         # a sender without one (not a mover) can never place any load
         self.usable = self.allowed & (self.caps > RESIDUAL_FLOOR) & self.is_sender[:, None]
-        self.movers = [i for i in self.senders if self.usable[i].any()]
+        self.movers = np.flatnonzero(self.usable.any(axis=1)).tolist()
         # bisection levels checked per stacked call: a small slice's check
         # costs mostly its call, a large one's its n x n arithmetic
         self.depth = 4 if self.n <= 8 else 1
@@ -497,26 +460,27 @@ class _SliceWork:
 
         One state is kept, keyed on the matrix's bytes: every stage changes
         alpha in place, so only its values name it.  A lookup with the same
-        bytes returns the kept state; any other replaces it.  A -0.0 read
-        where +0.0 was kept is a miss, which costs only the recomputation.
+        bytes returns the kept state; any other replaces it, with its loads,
+        responses and verdict computed together.  A -0.0 read where +0.0 was
+        kept is a miss, which costs only the recomputation.
         """
         key = alpha.tobytes()
         if self._state is None or self._state.key != key:
-            self._state = _SliceState(self, alpha, key)
+            loads = alpha.T @ self.lam
+            pis = response_times(alpha, self.lam, self.caps, self.tau)
+            loads.setflags(write=False)
+            pis.setflags(write=False)
+            self._state = _SliceState(key, loads, pis, float(_violations(self, alpha, loads, pis)))
         return self._state
 
     @functools.cached_property
     def receivers(self) -> list[list[int]]:
         """Per destination m, the senders allowed at m, stably sorted by tau[i, m].
 
-        Entries whose round trip is NaN are left out: no comparison passes
-        for them, and a NaN key would leave the sort order undefined.
+        An allowed entry's round trip is below the deadline, so never NaN.
         """
         return [
-            sorted(
-                (i for i in self.senders if self.allowed[i, m] and not math.isnan(self.tau[i, m])),
-                key=lambda i: self.tau[i, m],
-            )
+            sorted((i for i in self.senders if self.allowed[i, m]), key=lambda i: self.tau[i, m])
             for m in range(self.n)
         ]
 
@@ -803,13 +767,13 @@ def _joint_refine(work: _SliceWork, alpha: np.ndarray) -> np.ndarray:
     def local_start():
         a = np.zeros((work.n, work.n))
         inst = work.instance
+        arrays = inst.network.arrays
         for i in work.senders:
             cap = work.caps[i]
             if cap <= RESIDUAL_FLOOR:
                 continue
-            nd = inst.nodes[i]
             frac = optimal_local_fraction(
-                inst.energy[i], nd.unit_energy, inst.service.unit_rate * nd.rate_factor,
+                inst.energy[i], arrays.unit_energy[i, 0], arrays.unit_rates[i, inst.service_idx],
                 work.lam[i], work.theta,
             )
             a[i, i] = min(frac, (cap - RESIDUAL_FLOOR) / work.lam[i])
@@ -1062,7 +1026,7 @@ def _slice_bound(instance: SliceInstance) -> float:
     reach = instance.allowed() & (lam > 0)[:, None]
     inbound = lam @ reach
     tau = np.where(reach, instance.rtt, np.inf).min(axis=0)
-    caps = instance.capacities().astype(float)
+    caps = instance.capacities()
     box = np.minimum(inbound, caps - RESIDUAL_FLOOR / 2) / total
     theta = instance.service.deadline * (1 + 2 * FEAS_TOL)
     served = total * float(_waterfill(tau, caps, box, total, theta).sum())
@@ -1158,6 +1122,7 @@ def _isolated_candidate(game: GameInstance):
     """Every node alone: its best energy split plus the closed-form local fraction."""
     net = game.network
     n, k_n = net.n_nodes, net.n_services
+    rates = net.arrays.unit_rates.tolist()
     energy = np.zeros((n, k_n), dtype=int)
     alphas = [np.zeros((n, n)) for _ in range(k_n)]
     for i, nd in enumerate(net.nodes):
@@ -1167,7 +1132,7 @@ def _isolated_candidate(game: GameInstance):
             lam = game.arrivals[i, k]
             if lam <= 0 or split[k] <= 0:
                 continue
-            cap = capacity(svc.unit_rate * nd.rate_factor, split[k], nd.unit_energy)
+            cap = capacity(rates[i][k], split[k], nd.unit_energy)
             # largest admissible share under the per-request deadline mix
             frac = min(1.0, svc.deadline * cap / (1.0 + svc.deadline * lam))
             alphas[k][i, i] = frac
@@ -1190,16 +1155,16 @@ def _demand_candidate(game: GameInstance):
     for j in range(n):
         for m in net.neighbors[j]:
             inbound[m] += game.arrivals[j]
+    rates = net.arrays.unit_rates.tolist()
     energy = np.zeros((n, k_n), dtype=int)
     for i, nd in enumerate(net.nodes):
         demands = game.arrivals[i] + inbound[i]
         budget = int(game.budgets[i])
         tables = []
         for k, svc in enumerate(net.services):
-            w = svc.unit_rate * nd.rate_factor
             # requests e energy serves inside the deadline, up to the demand
             served = [
-                min(max(0.0, capacity(w, e, nd.unit_energy) - 1.0 / svc.deadline), demands[k])
+                min(max(0.0, capacity(rates[i][k], e, nd.unit_energy) - 1.0 / svc.deadline), demands[k])
                 for e in range(budget + 1)
             ]
             tables.append([svc.reward * s for s in served])
@@ -1222,17 +1187,18 @@ def _trim_energy(game: GameInstance, energy: np.ndarray, alphas):
     deadline; sub-unit remainders activate nothing and are always dropped.
     The offload matrices, and hence all payoffs, are unchanged.
     """
-    net = game.network
-    energy = energy - energy % np.array([[nd.unit_energy] for nd in net.nodes])
+    net, arrays = game.network, game.network.arrays
+    unit = arrays.unit_energy[:, 0]
+    energy = energy - energy % arrays.unit_energy
     for k, svc in enumerate(net.services):
         alpha = alphas[k]
         lam = game.arrivals[:, k]
         loads = alpha.T @ lam
-        for i, nd in enumerate(net.nodes):
-            while energy[i, k] >= nd.unit_energy:
+        for i in range(net.n_nodes):
+            while energy[i, k] >= unit[i]:
                 trial = energy[:, k].copy()
-                trial[i] -= nd.unit_energy
-                caps = game.slice_for(k, trial).capacities()
+                trial[i] -= unit[i]
+                caps = capacity(arrays.unit_rates[:, k], trial, unit)
                 # an idle queue, like max_violation's, is held to nothing
                 if loads[i] > 1e-12 and loads[i] > caps[i] - RESIDUAL_FLOOR:
                     break

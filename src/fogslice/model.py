@@ -104,6 +104,7 @@ class NetworkArrays(NamedTuple):
     max_units: np.ndarray  # (n, 1)
     forward: np.ndarray  # (n, n) bool: sender i may place workload on m (m == i or a neighbor)
     closed: np.ndarray  # (K, n, n) bool: forwarding edges whose round trip alone meets the deadline
+    allowed: np.ndarray  # (K, n, n) bool: forward & ~closed, where a slice may place workload
     deadlines: np.ndarray  # (K, 1)
     rewards: np.ndarray  # (K,)
 
@@ -150,12 +151,17 @@ class NetworkSpec:
 
     @functools.cached_property
     def arrays(self) -> NetworkArrays:
-        """The fixed figures the validator reads, built once per network."""
+        """The fixed figures the validator and the slices read, built once per network.
+
+        This is the one place that compares a round trip with a deadline.
+        """
         n = self.n_nodes
         forward = np.eye(n, dtype=bool)
         for i, nbrs in enumerate(self.neighbors):
             forward[i, list(nbrs)] = True
         deadlines = np.array([[s.deadline] for s in self.services])
+        # the zero diagonal never meets a deadline, which is > 0
+        closed = forward & (self.rtt >= deadlines[:, :, None])
         arrays = NetworkArrays(
             unit_energy=np.array([[nd.unit_energy] for nd in self.nodes]),
             unit_rates=np.array(
@@ -163,8 +169,8 @@ class NetworkSpec:
             ),
             max_units=np.array([[nd.max_units] for nd in self.nodes]),
             forward=forward,
-            # the zero diagonal never meets a deadline, which is > 0
-            closed=forward & (self.rtt >= deadlines[:, :, None]),
+            closed=closed,
+            allowed=forward & ~closed,
             deadlines=deadlines,
             rewards=np.array([s.reward for s in self.services]),
         )

@@ -65,8 +65,8 @@ def grid_slice_welfare(instance: SliceInstance, grid: float = 0.1) -> float:
     """
     _check_grid(grid)
     n = instance.n_nodes
-    caps = instance.capacities().astype(float)
-    lam = instance.arrivals.astype(float)
+    caps = instance.capacities()
+    lam = instance.arrivals
     theta = instance.service.deadline
     rho = instance.service.reward
     senders = [i for i in range(n) if lam[i] > 0]

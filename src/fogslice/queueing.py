@@ -4,8 +4,13 @@ A node that activates p processing units for a service behaves as an M/M/1
 server with service rate w*p for that service; response time of admitted
 workload alpha*lam is 1/(w*p - alpha*lam).  Forwarded workload additionally
 pays the round-trip time to its destination, weighted by the forwarded
-fraction.  Every layer (solver, core check, validator) computes capacities
-and response times here; only the oracles re-derive them independently.
+fraction.  The solver's slice state and back-off checks, its energy trim,
+the core check and the validator compute capacities and response times
+here; the oracles re-derive response times on their own, on purpose.  Three
+solver sites still re-derive the arithmetic in their own closed forms:
+the water-fill's scalar delay (``game._waterfill``), the SLSQP deadline
+rows (``game._joint_constraints``) and the isolated and demand candidates
+(``game._isolated_candidate``, ``game._demand_candidate``).
 """
 
 from __future__ import annotations

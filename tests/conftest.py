@@ -7,6 +7,7 @@ lives in test_acceptance with its own fixtures.
 import numpy as np
 import pytest
 
+from fogslice.game import SliceInstance
 from fogslice.model import FogNodeSpec, NetworkSpec, ServiceTypeSpec
 
 
@@ -36,6 +37,12 @@ def make_network(n_nodes=2, services=None, nodes=None, neighbors=None, tau=0.02)
     rtt = np.full((n, n), float(tau))
     np.fill_diagonal(rtt, 0.0)
     return NetworkSpec(services=tuple(services), nodes=nodes, neighbors=neighbors, rtt=rtt)
+
+
+def make_slice(service, nodes, energy, arrivals, neighbors, rtt):
+    """The slice of a one-service network built from ``nodes``, ``neighbors`` and ``rtt``."""
+    net = NetworkSpec(services=(service,), nodes=tuple(nodes), neighbors=tuple(neighbors), rtt=rtt)
+    return SliceInstance(net, 0, energy, arrivals)
 
 
 @pytest.fixture

@@ -262,13 +262,13 @@ class TestExpectedReward:
     def test_profile_mixture_is_arithmetic_mean(self):
         # two deterministic worlds produced by the game solver: a helper
         # with 2 spare units vs none at all
-        from conftest import make_node, make_service
-        from fogslice.game import SliceInstance, solve_offload
+        from conftest import make_node, make_service, make_slice
+        from fogslice.game import solve_offload
 
         svc = make_service(deadline=0.1, unit_rate=10.0)
         rewards = []
         for helper_units in (2, 0):
-            inst = SliceInstance(
+            inst = make_slice(
                 service=svc,
                 nodes=(make_node(), make_node()),
                 energy=np.array([1, helper_units]),

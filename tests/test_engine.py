@@ -227,6 +227,9 @@ class TestBuildConfig:
                 lambda c: c.update(nodes={"count": 3, "profile": "foo"}),
                 "nodes.profile: must be one of ('urban', 'uniform'), got 'foo'",
             ),
+            # seeds reach numpy, which takes no negative seed
+            (lambda c: c.update(seed=-1), "seed: must be >= 0"),
+            (lambda c: c.update(nodes={"count": 3, "seed": -1}), "nodes.seed: must be >= 0"),
         ],
     )
     def test_bad_configs_name_the_field(self, mutate, fragment):

@@ -57,15 +57,15 @@ from fogslice.model import (
     validate_agreement,
 )
 from fogslice.oracles import grid_slice_welfare
-from fogslice.queueing import optimal_local_fraction, response_times
+from fogslice.queueing import capacity, optimal_local_fraction, response_times
 
-from conftest import make_network, make_node, make_service
+from conftest import make_network, make_node, make_service, make_slice
 
 
 def pair_slice(energy, arrivals, deadline=0.1, unit_rate=10.0, tau=0.02, reward=1.0):
     svc = make_service(deadline=deadline, reward=reward, unit_rate=unit_rate)
     rtt = np.array([[0.0, tau], [tau, 0.0]])
-    return SliceInstance(
+    return make_slice(
         service=svc,
         nodes=(make_node(), make_node()),
         energy=np.asarray(energy, dtype=int),
@@ -77,7 +77,7 @@ def pair_slice(energy, arrivals, deadline=0.1, unit_rate=10.0, tau=0.02, reward=
 
 def solo_slice(energy, lam, deadline=0.1, unit_rate=10.0):
     svc = make_service(deadline=deadline, unit_rate=unit_rate)
-    return SliceInstance(
+    return make_slice(
         service=svc,
         nodes=(make_node(),),
         energy=np.array([energy], dtype=int),
@@ -96,7 +96,7 @@ def random_slice(rng, n_max=3):
     neighbors = tuple(frozenset(j for j in range(n) if j != i) for i in range(n))
     rtt = np.full((n, n), float(rng.choice([0.01, 0.02, 0.03])))
     np.fill_diagonal(rtt, 0.0)
-    return SliceInstance(
+    return make_slice(
         service=svc,
         nodes=tuple(make_node() for _ in range(n)),
         energy=rng.integers(0, 5, n),
@@ -114,7 +114,10 @@ def slice_verdict(inst, alpha):
     """
     alpha = np.asarray(alpha, dtype=float)
     net = NetworkSpec(
-        services=(inst.service,), nodes=inst.nodes, neighbors=inst.neighbors, rtt=inst.rtt
+        services=(inst.service,),
+        nodes=inst.network.nodes,
+        neighbors=inst.network.neighbors,
+        rtt=inst.rtt,
     )
     rewards = inst.service.reward * inst.arrivals * alpha.sum(axis=1)
     state = SlotState(
@@ -223,17 +226,17 @@ class TestSolveOffload:
     def test_reward_rate_linearity(self, rng):
         for _ in range(5):
             inst = random_slice(rng)
-            scaled = SliceInstance(
+            scaled = make_slice(
                 service=ServiceTypeSpec(
                     name=inst.service.name,
                     deadline=inst.service.deadline,
                     reward=inst.service.reward * 7.0,
                     unit_rate=inst.service.unit_rate,
                 ),
-                nodes=inst.nodes,
+                nodes=inst.network.nodes,
                 energy=inst.energy,
                 arrivals=inst.arrivals,
-                neighbors=inst.neighbors,
+                neighbors=inst.network.neighbors,
                 rtt=inst.rtt,
             )
             base = solve_offload(inst)
@@ -254,14 +257,7 @@ class TestSolveOffload:
             i = int(rng.integers(inst.n_nodes))
             energy = np.asarray(inst.energy).copy()
             energy[i] += 1
-            richer = SliceInstance(
-                service=inst.service,
-                nodes=inst.nodes,
-                energy=energy,
-                arrivals=inst.arrivals,
-                neighbors=inst.neighbors,
-                rtt=inst.rtt,
-            )
+            richer = SliceInstance(inst.network, 0, energy, inst.arrivals)
             # ascent termination noise sits near 1e-8 on full-service instances
             assert solve_offload(richer).welfare >= base - 1e-6
 
@@ -277,7 +273,7 @@ def mesh_slice(rng, n):
     rtt = np.triu(rng.uniform(0.005, 0.12, (n, n)), 1)
     rtt = rtt + rtt.T
     arrivals = np.round(rng.uniform(0.0, 40.0, n), 1) * (rng.random(n) < 0.8)
-    return SliceInstance(
+    return make_slice(
         service=svc,
         nodes=tuple(make_node() for _ in range(n)),
         energy=rng.integers(0, 5, n),
@@ -718,12 +714,12 @@ def tied_slice(rng, n):
     """``mesh_slice`` with round trips on a 3-value grid, so many tie in tau."""
     inst = mesh_slice(rng, n)
     rtt = np.triu(rng.choice([0.01, 0.02, 0.03], (n, n)), 1)
-    return SliceInstance(
+    return make_slice(
         service=inst.service,
-        nodes=inst.nodes,
+        nodes=inst.network.nodes,
         energy=inst.energy,
         arrivals=inst.arrivals,
-        neighbors=inst.neighbors,
+        neighbors=inst.network.neighbors,
         rtt=rtt + rtt.T,
     )
 
@@ -810,17 +806,16 @@ class TestSliceState:
         state = work.state(alpha)
         assert work.state(alpha.copy()) is state
         assert state.violation == work.max_violation(alpha)
-        for cached in (state.alpha, state.loads, state.pis):
+        for cached in (state.loads, state.pis):
             with pytest.raises(ValueError):
                 cached[0] = 1.0
         alpha[0, 0] = 0.4
         assert work.state(alpha) is not state
-        assert state.alpha[0, 0] == 0.5  # the kept copy never sees the caller's change
 
 
 def dead_slices():
     """Slices with senders but no usable pair, and one without senders."""
-    far = SliceInstance(
+    far = make_slice(
         service=make_service(),
         nodes=(make_node(), make_node()),
         energy=np.array([0, 5]),
@@ -840,14 +835,7 @@ def dead_sender_slice(rng, n):
     """``mesh_slice`` with about half the nodes holding no energy, so that
     some senders reach no destination with capacity."""
     inst = mesh_slice(rng, n)
-    return SliceInstance(
-        service=inst.service,
-        nodes=inst.nodes,
-        energy=inst.energy * (rng.random(n) < 0.5),
-        arrivals=inst.arrivals,
-        neighbors=inst.neighbors,
-        rtt=inst.rtt,
-    )
+    return SliceInstance(inst.network, 0, inst.energy * (rng.random(n) < 0.5), inst.arrivals)
 
 
 def reference_ascent(work, alpha):
@@ -1498,14 +1486,7 @@ def small_networks(draw, max_services=1):
 @st.composite
 def bound_slices(draw):
     net, arrivals = draw(small_networks())
-    return SliceInstance(
-        service=net.services[0],
-        nodes=net.nodes,
-        energy=np.array([draw(st.integers(0, 4)) for _ in net.nodes]),
-        arrivals=arrivals[:, 0],
-        neighbors=net.neighbors,
-        rtt=net.rtt,
-    )
+    return SliceInstance(net, 0, np.array([draw(st.integers(0, 4)) for _ in net.nodes]), arrivals[:, 0])
 
 
 @st.composite
@@ -1992,7 +1973,7 @@ class TestCheckCore:
         tau_row = np.array([0.0] + [theta if tau < 0 else tau for _, tau in dests[1:]])
         rtt = np.zeros((n, n))
         rtt[0, :] = rtt[:, 0] = tau_row
-        sl = SliceInstance(
+        sl = make_slice(
             service=make_service(deadline=theta),
             nodes=tuple(make_node() for _ in range(n)),
             energy=np.zeros(n, dtype=int),
@@ -2147,6 +2128,73 @@ class TestCheckCore:
         assert any(searched)
 
 
+def reference_allowed(inst):
+    """The per-edge loop ``SliceInstance.allowed`` ran before it read the network's arrays."""
+    mask = np.eye(inst.n_nodes, dtype=bool)
+    for i, nbrs in enumerate(inst.network.neighbors):
+        for m in nbrs:
+            if inst.rtt[i, m] < inst.service.deadline:
+                mask[i, m] = True
+    return mask
+
+
+def reference_capacities(inst):
+    """The per-node loop ``SliceInstance.capacities`` ran before it read the network's arrays."""
+    nodes = inst.network.nodes
+    w = np.array([inst.service.unit_rate * nd.rate_factor for nd in nodes])
+    return capacity(w, inst.energy.astype(int), np.array([nd.unit_energy for nd in nodes]))
+
+
+@st.composite
+def figure_games(draw):
+    """A game on 1-6 nodes and 1-3 services, with an energy commitment per node and service.
+
+    Round trips sit on a deadline, one float either side of it, at 0 or
+    past every deadline; each direction of a link is drawn on its own, so
+    neighbour sets are asymmetric; energies include 0 and sub-unit
+    remainders.
+    """
+    n = draw(st.integers(1, 6))
+    services = tuple(
+        make_service(
+            deadline=draw(st.sampled_from([0.02, 0.05, 0.1])),
+            unit_rate=draw(st.floats(0.5, 30.0)),
+            name=f"s{k}",
+        )
+        for k in range(draw(st.integers(1, 3)))
+    )
+    nodes = tuple(
+        make_node(unit_energy=draw(st.integers(1, 3)), rate_factor=draw(st.floats(0.25, 4.0)))
+        for _ in range(n)
+    )
+    trips = [0.0, 0.2]
+    for svc in services:
+        trips += [svc.deadline, math.nextafter(svc.deadline, 0.0), math.nextafter(svc.deadline, 1.0)]
+    rtt = np.array([[0.0 if i == m else draw(st.sampled_from(trips)) for m in range(n)] for i in range(n)])
+    neighbors = tuple(frozenset(m for m in range(n) if m != i and draw(st.booleans())) for i in range(n))
+    net = NetworkSpec(services=services, nodes=nodes, neighbors=neighbors, rtt=rtt)
+    energy = np.array([[draw(st.integers(0, 7)) for _ in services] for _ in nodes])
+    game = GameInstance(network=net, arrivals=np.zeros((n, len(services))), budgets=energy.sum(axis=1))
+    return game, energy
+
+
+class TestSliceFigures:
+    @settings(max_examples=300, deadline=None)
+    @given(figure_games())
+    def test_network_arrays_match_the_node_loops(self, drawn):
+        """``slice_for(k, e)`` reads its open edges and capacities bit for bit as the old loops built them."""
+        game, energy = drawn
+        for k in range(game.network.n_services):
+            sl = game.slice_for(k, energy[:, k])
+            allowed, caps = sl.allowed(), sl.capacities()
+            assert not allowed.flags.writeable
+            assert allowed.tobytes() == reference_allowed(sl).tobytes()
+            want = reference_capacities(sl)
+            assert caps.dtype == want.dtype and caps.tobytes() == want.tobytes()
+            event(f"closed edge: {bool((game.network.arrays.forward & ~allowed).any())}")
+            event(f"sub-unit energy: {bool((energy[:, k] % game.network.arrays.unit_energy[:, 0]).any())}")
+
+
 class TestGameInstance:
     @pytest.mark.parametrize(
         "arrivals, budgets, message",
@@ -2177,11 +2225,10 @@ class TestGameInstance:
 
     def test_slice_leaves_caller_arrays_writable(self):
         net = make_network(2)
-        energy, arrivals, rtt = np.array([2, 0]), np.array([5.0, 1.0]), net.rtt.copy()
-        sl = SliceInstance(net.services[0], net.nodes, energy, arrivals, net.neighbors, rtt)
-        energy[0], arrivals[0], rtt[0, 1] = 9, 9.0, 0.5
+        energy, arrivals = np.array([2, 0]), np.array([5.0, 1.0])
+        sl = SliceInstance(net, 0, energy, arrivals)
+        energy[0], arrivals[0] = 9, 9.0
         assert sl.energy.tolist() == [2, 0] and sl.arrivals.tolist() == [5.0, 1.0]
-        assert sl.rtt[0, 1] == 0.02
         for arr in (sl.energy, sl.arrivals, sl.rtt):
             assert not arr.flags.writeable
         # read-only inputs need no copy: slice_for's views share the game's memory

@@ -10,10 +10,10 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from fogslice import oracles
-from fogslice.game import FEAS_TOL, GameInstance, SliceInstance
+from fogslice.game import FEAS_TOL, GameInstance
 from fogslice.oracles import OracleTooLarge, exhaustive_welfare, grid_slice_welfare
 
-from conftest import make_network, make_node, make_service
+from conftest import make_network, make_node, make_service, make_slice
 
 MAX_NAIVE_POINTS = 4000
 
@@ -77,7 +77,7 @@ def small_slices(draw):
         reward=draw(st.sampled_from([0.5, 1.0, 3.0])),
         unit_rate=draw(st.sampled_from([10.0, 15.0, 20.0])),
     )
-    return SliceInstance(
+    return make_slice(
         service=svc,
         nodes=tuple(make_node() for _ in range(n)),
         energy=np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))),

@@ -72,8 +72,6 @@ PLUMBING = {
     "evaluated",
     "looked_up",
     "state",
-    "pis",
-    "violation",
 }
 
 
